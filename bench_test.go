@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"net"
 	"runtime"
-	"sync"
 	"testing"
 
 	"detshmem/internal/affine"
@@ -16,6 +15,7 @@ import (
 	"detshmem/internal/core"
 	"detshmem/internal/experiments"
 	"detshmem/internal/frontend"
+	"detshmem/internal/loadgen"
 	"detshmem/internal/mpc"
 	"detshmem/internal/netmpc"
 	"detshmem/internal/network"
@@ -475,9 +475,9 @@ func BenchmarkE12Routing(b *testing.B) {
 		topo := topo
 		b.Run(topo.String(), func(b *testing.B) {
 			sys := mustSystem(b, 1, 5, protocol.Config{
-				NewMachine: func(cfg mpc.Config) (protocol.Machine, error) {
+				Transport: protocol.TransportFunc(func(cfg mpc.Config) (protocol.Machine, error) {
 					return network.NewMachineTopology(cfg, topo)
-				},
+				}),
 			})
 			N := int(sys.Scheme.NumModules)
 			rng := rand.New(rand.NewSource(13))
@@ -569,6 +569,38 @@ func BenchmarkE14Audit(b *testing.B) {
 	}
 }
 
+// benchOps splits b.N ops over the concurrent benchmarks' 8 clients:
+// client c draws hot-spot variables from rand seed c+seed and writes every
+// third op, its value the op's index.
+func benchOps(b *testing.B, m uint64, hotP float64, seed int64) [][]loadgen.Op {
+	const clients = 8
+	ops := make([][]loadgen.Op, clients)
+	for c := range ops {
+		rng := rand.New(rand.NewSource(int64(c) + seed))
+		stream := workload.HotSpot(rng, m, (b.N+clients-1)/clients, 16, hotP)
+		ops[c] = make([]loadgen.Op, len(stream))
+		for i, v := range stream {
+			ops[c][i] = loadgen.Op{Var: v}
+			if i%3 == 0 {
+				ops[c][i].Write, ops[c][i].Val = true, uint64(i)
+			}
+		}
+	}
+	return ops
+}
+
+// benchDrive replays ops through the closed-loop driver in 64-op windows;
+// any failed op fails the benchmark.
+func benchDrive(b *testing.B, target loadgen.Target, ops [][]loadgen.Op, batched bool) {
+	res, err := loadgen.Run(target, ops, loadgen.Config{Window: 64, Batched: batched})
+	if err == nil && res.Stranded+res.Blocked > 0 {
+		err = fmt.Errorf("%d stranded and %d blocked ops", res.Stranded, res.Blocked)
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkE15Frontend measures combining-frontend throughput: 8 concurrent
 // clients submitting asynchronous hot-spot traffic over the PP93 system,
 // reporting the fraction of ops that never became protocol requests.
@@ -592,47 +624,9 @@ func BenchmarkE15Frontend(b *testing.B) {
 					b.Fatal(err)
 				}
 				defer fe.Close()
-				const clients, window = 8, 64
-				m := sys.Mapper.NumVars()
+				ops := benchOps(b, sys.Mapper.NumVars(), wl.p, 42)
 				b.ResetTimer()
-				var wg sync.WaitGroup
-				for c := 0; c < clients; c++ {
-					wg.Add(1)
-					go func(c int) {
-						defer wg.Done()
-						rng := rand.New(rand.NewSource(int64(c) + 42))
-						stream := workload.HotSpot(rng, m, (b.N+clients-1)/clients, 16, wl.p)
-						pending := make([]*frontend.Future, 0, window)
-						drain := func() {
-							for _, fut := range pending {
-								if _, err := fut.Wait(); err != nil {
-									b.Error(err)
-									return
-								}
-							}
-							pending = pending[:0]
-						}
-						for i, v := range stream {
-							var fut *frontend.Future
-							var err error
-							if i%3 == 0 {
-								fut, err = fe.WriteAsync(v, uint64(i))
-							} else {
-								fut, err = fe.ReadAsync(v)
-							}
-							if err != nil {
-								b.Error(err)
-								return
-							}
-							pending = append(pending, fut)
-							if len(pending) == window {
-								drain()
-							}
-						}
-						drain()
-					}(c)
-				}
-				wg.Wait()
+				benchDrive(b, fe, ops, false)
 				b.ReportMetric(fe.Stats().CombiningRate(), "combined/op")
 			})
 		}
@@ -681,47 +675,9 @@ func BenchmarkE18ShardedFrontend(b *testing.B) {
 					b.Fatal(err)
 				}
 				defer svc.Close()
-				const clients, window = 8, 64
-				m := mapper.NumVars()
+				ops := benchOps(b, mapper.NumVars(), wl.p, 18)
 				b.ResetTimer()
-				var wg sync.WaitGroup
-				for c := 0; c < clients; c++ {
-					wg.Add(1)
-					go func(c int) {
-						defer wg.Done()
-						rng := rand.New(rand.NewSource(int64(c) + 18))
-						stream := workload.HotSpot(rng, m, (b.N+clients-1)/clients, 16, wl.p)
-						pending := make([]*frontend.Future, 0, window)
-						drain := func() {
-							for _, fut := range pending {
-								if _, err := fut.Wait(); err != nil {
-									b.Error(err)
-									return
-								}
-							}
-							pending = pending[:0]
-						}
-						for i, v := range stream {
-							var fut *frontend.Future
-							var err error
-							if i%3 == 0 {
-								fut, err = svc.WriteAsync(v, uint64(i))
-							} else {
-								fut, err = svc.ReadAsync(v)
-							}
-							if err != nil {
-								b.Error(err)
-								return
-							}
-							pending = append(pending, fut)
-							if len(pending) == window {
-								drain()
-							}
-						}
-						drain()
-					}(c)
-				}
-				wg.Wait()
+				benchDrive(b, svc, ops, false)
 				st := svc.Stats()
 				b.ReportMetric(st.Total.CombiningRate(), "combined/op")
 				b.ReportMetric(st.Imbalance(), "imbalance")
@@ -766,78 +722,9 @@ func BenchmarkE21MulticoreScaling(b *testing.B) {
 					b.Fatal(err)
 				}
 				defer svc.Close()
-				const clients, window = 8, 64
-				m := mapper.NumVars()
+				ops := benchOps(b, mapper.NumVars(), 0, 21)
 				b.ResetTimer()
-				var wg sync.WaitGroup
-				for c := 0; c < clients; c++ {
-					wg.Add(1)
-					go func(c int) {
-						defer wg.Done()
-						rng := rand.New(rand.NewSource(int64(c) + 21))
-						stream := workload.HotSpot(rng, m, (b.N+clients-1)/clients, 16, 0)
-						if cfg.batched {
-							ops := make([]shard.BatchOp, 0, window)
-							flush := func() bool {
-								if len(ops) == 0 {
-									return true
-								}
-								batch, err := svc.AccessBatch(ops)
-								if err == nil {
-									err = batch.Wait()
-								}
-								if err != nil {
-									b.Error(err)
-									return false
-								}
-								ops = ops[:0]
-								return true
-							}
-							for i, v := range stream {
-								if i%3 == 0 {
-									ops = append(ops, shard.BatchOp{Write: true, Var: v, Val: uint64(i)})
-								} else {
-									ops = append(ops, shard.BatchOp{Var: v})
-								}
-								if len(ops) == window && !flush() {
-									return
-								}
-							}
-							flush()
-							return
-						}
-						pending := make([]*frontend.Future, 0, window)
-						drain := func() bool {
-							for _, fut := range pending {
-								if _, err := fut.Wait(); err != nil {
-									b.Error(err)
-									return false
-								}
-							}
-							pending = pending[:0]
-							return true
-						}
-						for i, v := range stream {
-							var fut *frontend.Future
-							var err error
-							if i%3 == 0 {
-								fut, err = svc.WriteAsync(v, uint64(i))
-							} else {
-								fut, err = svc.ReadAsync(v)
-							}
-							if err != nil {
-								b.Error(err)
-								return
-							}
-							pending = append(pending, fut)
-							if len(pending) == window && !drain() {
-								return
-							}
-						}
-						drain()
-					}(c)
-				}
-				wg.Wait()
+				benchDrive(b, svc, ops, cfg.batched)
 				st := svc.Stats()
 				b.ReportMetric(st.Total.CombiningRate(), "combined/op")
 				b.ReportMetric(float64(st.Total.MaxQueueDepth), "maxdepth")
@@ -851,9 +738,9 @@ func BenchmarkE21MulticoreScaling(b *testing.B) {
 func BenchmarkE11FailureMasking(b *testing.B) {
 	s, idx := mustScheme(b, 1, 5)
 	sys, err := protocol.NewSystem(s, idx, protocol.Config{
-		NewMachine: func(cfg mpc.Config) (protocol.Machine, error) {
+		Transport: protocol.TransportFunc(func(cfg mpc.Config) (protocol.Machine, error) {
 			return mpc.NewFailing(cfg, []uint64{0})
-		},
+		}),
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -923,48 +810,9 @@ func BenchmarkE22NetTransport(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer svc.Close()
-		const clients, window = 8, 64
-		m := mapper.NumVars()
+		ops := benchOps(b, mapper.NumVars(), 0, 22)
 		b.ResetTimer()
-		var wg sync.WaitGroup
-		for c := 0; c < clients; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(int64(c) + 22))
-				stream := workload.HotSpot(rng, m, (b.N+clients-1)/clients, 16, 0)
-				pending := make([]*frontend.Future, 0, window)
-				drain := func() bool {
-					for _, fut := range pending {
-						if _, err := fut.Wait(); err != nil {
-							b.Error(err)
-							return false
-						}
-					}
-					pending = pending[:0]
-					return true
-				}
-				for i, v := range stream {
-					var fut *frontend.Future
-					var err error
-					if i%3 == 0 {
-						fut, err = svc.WriteAsync(v, uint64(i))
-					} else {
-						fut, err = svc.ReadAsync(v)
-					}
-					if err != nil {
-						b.Error(err)
-						return
-					}
-					pending = append(pending, fut)
-					if len(pending) == window && !drain() {
-						return
-					}
-				}
-				drain()
-			}(c)
-		}
-		wg.Wait()
+		benchDrive(b, svc, ops, false)
 	}
 	b.Run("transport=inproc", func(b *testing.B) { run(b, nil) })
 	b.Run("transport=tcp", func(b *testing.B) {
@@ -1075,9 +923,9 @@ func BenchmarkE24Repair(b *testing.B) {
 		fs := mpc.NewFaultSet()
 		sys, err := protocol.NewSystem(s, idx, protocol.Config{
 			MaxIterationsPerPhase: 2048,
-			NewMachine: func(cfg mpc.Config) (protocol.Machine, error) {
+			Transport: protocol.TransportFunc(func(cfg mpc.Config) (protocol.Machine, error) {
 				return mpc.NewFailingShared(cfg, fs)
-			},
+			}),
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -49,9 +49,9 @@ func E11(w io.Writer, o Options) error {
 			}
 			sys, err := protocol.NewSystem(s, idx, protocol.Config{
 				MaxIterationsPerPhase: 4096,
-				NewMachine: func(cfg mpc.Config) (protocol.Machine, error) {
+				Transport: protocol.TransportFunc(func(cfg mpc.Config) (protocol.Machine, error) {
 					return mpc.NewFailing(cfg, failed)
-				},
+				}),
 			})
 			if err != nil {
 				return err
@@ -121,13 +121,13 @@ func E12(w io.Writer, o Options) error {
 		for _, topo := range []network.Topology{network.TopoButterfly, network.TopoHypercube} {
 			var dim int
 			sys, err := protocol.NewSystem(s, idx, protocol.Config{
-				NewMachine: func(cfg mpc.Config) (protocol.Machine, error) {
+				Transport: protocol.TransportFunc(func(cfg mpc.Config) (protocol.Machine, error) {
 					m, err := network.NewMachineTopology(cfg, topo)
 					if err == nil {
 						dim = m.Dimension()
 					}
 					return m, err
-				},
+				}),
 			})
 			if err != nil {
 				return err

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"detshmem/internal/frontend"
+	"detshmem/internal/loadgen"
 	"detshmem/internal/protocol"
 	"detshmem/internal/workload"
 )
@@ -143,17 +144,19 @@ func E16(w io.Writer, o Options) error {
 			// Warm-up pass sizes the dispatcher's scratch and the system's
 			// machine; the GC fence keeps one variant's garbage from being
 			// collected on another variant's clock.
-			if err := driveFrontend(fe, inst.s.NumVariables, clients, totalOps/(4*clients), wl.p, o.Seed); err != nil {
+			warm := frontendOps(inst.s.NumVariables, clients, totalOps/(4*clients), wl.p, o.Seed)
+			if err := runHealthy(fe, warm, loadgen.Config{Window: clientWindow}); err != nil {
 				_ = fe.Close() // the drive error is the one worth surfacing
 				sys.Close()
 				return err
 			}
+			stream := frontendOps(inst.s.NumVariables, clients, totalOps/clients, wl.p, o.Seed)
 			runtime.GC()
 			ops0 := fe.Stats().OpsIn
 			var ms0, ms1 runtime.MemStats
 			runtime.ReadMemStats(&ms0)
 			start := time.Now()
-			err = driveFrontend(fe, inst.s.NumVariables, clients, totalOps/clients, wl.p, o.Seed)
+			err = runHealthy(fe, stream, loadgen.Config{Window: clientWindow})
 			elapsed := time.Since(start)
 			runtime.ReadMemStats(&ms1)
 			if cerr := fe.Close(); err == nil {

@@ -8,10 +8,9 @@ import (
 	"os"
 	"runtime"
 	"sort"
-	"sync"
 	"time"
 
-	"detshmem/internal/frontend"
+	"detshmem/internal/loadgen"
 	"detshmem/internal/protocol"
 	"detshmem/internal/shard"
 	"detshmem/internal/workload"
@@ -143,6 +142,7 @@ func E18(w io.Writer, o Options) error {
 		for c := range streams {
 			streams[c] = wl.stream(workload.ClientRNG(o.Seed+18, c))
 		}
+		clientOps := shardOps(streams, o.Seed+18)
 		var baseNs float64
 		for _, cfg := range configs {
 			svc, err := shard.New(inst.pp, shard.Config{
@@ -158,7 +158,7 @@ func E18(w io.Writer, o Options) error {
 			// garbage off another config's clock. Each cell is then measured
 			// over several repetitions and reported as the median, since a
 			// single ~tens-of-ms run is at the mercy of scheduler noise.
-			if err := driveShards(svc, streams, 4, o.Seed+18); err != nil {
+			if err := runHealthy(svc, head(clientOps, 4), loadgen.Config{Window: clientWindow}); err != nil {
 				_ = svc.Close()
 				return err
 			}
@@ -170,7 +170,7 @@ func E18(w io.Writer, o Options) error {
 			elapsedNs := make([]int64, 0, reps)
 			for r := 0; r < reps && err == nil; r++ {
 				start := time.Now()
-				err = driveShards(svc, streams, 1, o.Seed+18)
+				err = runHealthy(svc, clientOps, loadgen.Config{Window: clientWindow})
 				if ferr := svc.Flush(); err == nil {
 					err = ferr
 				}
@@ -223,61 +223,6 @@ func E18(w io.Writer, o Options) error {
 			return fmt.Errorf("e18: writing %s: %w", path, err)
 		}
 		fprintf(w, "  (wrote %s)\n\n", path)
-	}
-	return nil
-}
-
-// driveShards replays each client's precomputed stream against the service
-// in asynchronous windows (40% writes, decided by the client's own RNG so
-// the coin flips replay identically across configs). div shrinks the run
-// (div=4 drives a quarter of each stream for warm-up).
-func driveShards(svc *shard.Service, streams [][]uint64, div int, seed int64) error {
-	const window = 64
-	var wg sync.WaitGroup
-	errs := make(chan error, len(streams))
-	for c := range streams {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			rng := workload.ClientRNG(seed, c)
-			stream := streams[c][:len(streams[c])/div]
-			futs := make([]*frontend.Future, 0, window)
-			drain := func() bool {
-				for _, fut := range futs {
-					if _, err := fut.Wait(); err != nil {
-						errs <- err
-						return false
-					}
-				}
-				futs = futs[:0]
-				return true
-			}
-			for i, v := range stream {
-				var fut *frontend.Future
-				var err error
-				if rng.Intn(100) < 40 {
-					fut, err = svc.WriteAsync(v, uint64(c)<<32|uint64(i))
-				} else {
-					fut, err = svc.ReadAsync(v)
-				}
-				if err != nil {
-					errs <- err
-					return
-				}
-				futs = append(futs, fut)
-				if len(futs) == window && !drain() {
-					return
-				}
-			}
-			drain()
-		}(c)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			return fmt.Errorf("shard client: %w", err)
-		}
 	}
 	return nil
 }

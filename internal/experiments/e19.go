@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -13,7 +12,7 @@ import (
 	"sync"
 	"time"
 
-	"detshmem/internal/frontend"
+	"detshmem/internal/loadgen"
 	"detshmem/internal/mpc"
 	"detshmem/internal/protocol"
 	"detshmem/internal/shard"
@@ -23,13 +22,14 @@ import (
 // E19 measures live fault tolerance: the frontend keeps serving while
 // memory modules crash at runtime. A shared mpc.FaultSet is seeded with F
 // random failed modules and the full client harness of E18 (same streams,
-// same windowed async drivers) runs against it, for F swept from 0 through
+// same windowed loadgen clients) runs against it, for F swept from 0 through
 // q/2 (where the paper's quorum argument guarantees every variable keeps a
 // live majority) and beyond (where some variables provably lose their
 // quorum and their requests must fail with the per-request quorum verdict
 // while the rest of the stream commits).
 //
-// Reported per cell: throughput, the fraction of operations stranded, the
+// Reported per cell: throughput, the operations stranded (live copies
+// below quorum) and blocked (any other incomplete verdict), the
 // bids the interconnect dropped at failed modules, the bids the protocol
 // re-selected onto survivors, rounds per batch, and the round inflation
 // against the same configuration's F=0 cell — the measured price of
@@ -112,6 +112,7 @@ func E19(w io.Writer, o Options) error {
 		NsPerOp       float64 `json:"ns_per_op"`
 		OpsPerSec     float64 `json:"ops_per_sec"`
 		StrandedOps   int64   `json:"stranded_ops"`
+		BlockedOps    int64   `json:"blocked_ops"`
 		StrandedReqs  int64   `json:"stranded_requests"`
 		RetriedBids   int64   `json:"retried_bids"`
 		DroppedBids   int64   `json:"dropped_bids"`
@@ -145,20 +146,20 @@ func E19(w io.Writer, o Options) error {
 
 	fprintf(w, "E19 Fault tolerance: runtime module failures (q=2, n=%d, N=%d, M=%d, quorum=%d, %d clients, %d ops/run)\n",
 		n, inst.s.NumModules, inst.s.NumVariables, inst.s.Majority, clients, totalOps)
-	fprintf(w, "%-10s %-9s %7s %10s %12s %9s %9s %9s %9s %8s %9s\n",
-		"engine", "workload", "faults", "ns/op", "ops/sec", "strandOp", "strandRq", "retried", "dropped", "rnd/bat", "inflate")
+	fprintf(w, "%-10s %-9s %7s %10s %12s %9s %9s %9s %9s %9s %8s %9s\n",
+		"engine", "workload", "faults", "ns/op", "ops/sec", "strandOp", "blockOp", "strandRq", "retried", "dropped", "rnd/bat", "inflate")
 
 	// measure drives one cell: warm-up, then the median of reps timed runs.
-	measure := func(eng engine, streams [][]uint64, fs *mpc.FaultSet, churn bool) (row, error) {
+	measure := func(eng engine, clientOps [][]loadgen.Op, fs *mpc.FaultSet, churn bool) (row, error) {
 		svc, err := shard.New(inst.pp, shard.Config{
 			Shards:   1,
 			Pipeline: eng.pipeline,
 			Observe:  true,
 			Protocol: o.instrument(protocol.Config{
 				Resolver: resolver,
-				NewMachine: func(mcfg mpc.Config) (protocol.Machine, error) {
+				Transport: protocol.TransportFunc(func(mcfg mpc.Config) (protocol.Machine, error) {
 					return mpc.NewFailingShared(mcfg, fs)
-				},
+				}),
 			}),
 		})
 		if err != nil {
@@ -186,7 +187,7 @@ func E19(w io.Writer, o Options) error {
 			}()
 			stopChurn = func() { close(stop); wg.Wait() }
 		}
-		if _, err := driveShardsFaulty(svc, streams, 4, o.Seed+19); err != nil {
+		if _, err := loadgen.Run(svc, head(clientOps, 4), loadgen.Config{Window: clientWindow}); err != nil {
 			stopChurn()
 			_ = svc.Close()
 			return row{}, err
@@ -197,10 +198,10 @@ func E19(w io.Writer, o Options) error {
 			reps = 2
 		}
 		elapsedNs := make([]int64, 0, reps)
-		var strandedOps int64
+		var strandedOps, blockedOps int64
 		for r := 0; r < reps; r++ {
 			start := time.Now()
-			stranded, err := driveShardsFaulty(svc, streams, 1, o.Seed+19)
+			res, err := loadgen.Run(svc, clientOps, loadgen.Config{Window: clientWindow})
 			if ferr := svc.Flush(); err == nil {
 				err = ferr
 			}
@@ -210,7 +211,8 @@ func E19(w io.Writer, o Options) error {
 				return row{}, err
 			}
 			elapsedNs = append(elapsedNs, time.Since(start).Nanoseconds())
-			strandedOps += stranded
+			strandedOps += res.Stranded
+			blockedOps += res.Blocked
 		}
 		stopChurn()
 		st := svc.Stats()
@@ -232,6 +234,7 @@ func E19(w io.Writer, o Options) error {
 			NsPerOp:      float64(med.Nanoseconds()) / ops,
 			OpsPerSec:    ops / med.Seconds(),
 			StrandedOps:  strandedOps / int64(reps),
+			BlockedOps:   blockedOps / int64(reps),
 			StrandedReqs: st.Total.Stranded,
 			RetriedBids:  st.Total.RetriedBids,
 			DroppedBids:  dropped,
@@ -243,9 +246,9 @@ func E19(w io.Writer, o Options) error {
 	}
 
 	emit := func(r row) {
-		fprintf(w, "%-10s %-9s %7s %10.1f %12.0f %9d %9d %9d %9d %8.2f %8.2fx\n",
+		fprintf(w, "%-10s %-9s %7s %10.1f %12.0f %9d %9d %9d %9d %9d %8.2f %8.2fx\n",
 			r.Engine, r.Workload, r.Faults, r.NsPerOp, r.OpsPerSec,
-			r.StrandedOps, r.StrandedReqs, r.RetriedBids, r.DroppedBids,
+			r.StrandedOps, r.BlockedOps, r.StrandedReqs, r.RetriedBids, r.DroppedBids,
 			r.RoundsPerBat, r.RoundInflate)
 		report.Rows = append(report.Rows, r)
 	}
@@ -255,6 +258,7 @@ func E19(w io.Writer, o Options) error {
 		for c := range streams {
 			streams[c] = wl.stream(workload.ClientRNG(o.Seed+19, c))
 		}
+		clientOps := shardOps(streams, o.Seed+19)
 		for _, eng := range engines {
 			var baseRounds float64
 			for _, f := range faultCounts {
@@ -262,7 +266,7 @@ func E19(w io.Writer, o Options) error {
 				// both engines (and reruns) see identical failed modules.
 				frng := rand.New(rand.NewSource(o.Seed + 19*int64(f) + 7))
 				fs := mpc.NewFaultSet(workload.RandomFaults(frng, inst.s.NumModules, f)...)
-				r, err := measure(eng, streams, fs, false)
+				r, err := measure(eng, clientOps, fs, false)
 				if err != nil {
 					return err
 				}
@@ -278,7 +282,7 @@ func E19(w io.Writer, o Options) error {
 				emit(r)
 			}
 			if o.FaultSched == "churn" {
-				r, err := measure(eng, streams, mpc.NewFaultSet(), true)
+				r, err := measure(eng, clientOps, mpc.NewFaultSet(), true)
 				if err != nil {
 					return err
 				}
@@ -294,8 +298,9 @@ func E19(w io.Writer, o Options) error {
 	}
 
 	fprintf(w, "  (faults = modules seeded failed before the run; every request whose\n")
-	fprintf(w, "   variable keeps a live majority commits, the rest fail per-request with\n")
-	fprintf(w, "   the quorum verdict and are counted as stranded. q/2 = %d failures are\n", inst.s.Copies/2)
+	fprintf(w, "   variable keeps a live majority commits, the rest fail per-request:\n")
+	fprintf(w, "   strandOp counts the quorum verdict (live copies below majority),\n")
+	fprintf(w, "   blockOp any other incomplete verdict. q/2 = %d failures are\n", inst.s.Copies/2)
 	fprintf(w, "   always maskable; beyond that stranding sets in. \"inflate\" is rounds\n")
 	fprintf(w, "   per batch against the same engine+workload at F=0: the round-level\n")
 	fprintf(w, "   price of re-selecting quorums around the failed modules.)\n\n")
@@ -311,69 +316,4 @@ func E19(w io.Writer, o Options) error {
 		fprintf(w, "  (wrote %s)\n\n", path)
 	}
 	return nil
-}
-
-// driveShardsFaulty replays the client streams like driveShards, but
-// tolerates the degraded-mode outcome: futures failing with the
-// ErrIncomplete class (quorum losses included) are counted and the stream
-// continues — exactly how a fault-tolerant client consumes the service.
-// Any other error aborts. Returns the number of stranded operations.
-func driveShardsFaulty(svc *shard.Service, streams [][]uint64, div int, seed int64) (int64, error) {
-	const window = 64
-	var wg sync.WaitGroup
-	var stranded int64
-	var mu sync.Mutex
-	errs := make(chan error, len(streams))
-	for c := range streams {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			rng := workload.ClientRNG(seed, c)
-			stream := streams[c][:len(streams[c])/div]
-			futs := make([]*frontend.Future, 0, window)
-			bad := int64(0)
-			drain := func() bool {
-				for _, fut := range futs {
-					if _, err := fut.Wait(); err != nil {
-						if !errors.Is(err, protocol.ErrIncomplete) {
-							errs <- err
-							return false
-						}
-						bad++
-					}
-				}
-				futs = futs[:0]
-				return true
-			}
-			for i, v := range stream {
-				var fut *frontend.Future
-				var err error
-				if rng.Intn(100) < 40 {
-					fut, err = svc.WriteAsync(v, uint64(c)<<32|uint64(i))
-				} else {
-					fut, err = svc.ReadAsync(v)
-				}
-				if err != nil {
-					errs <- err
-					return
-				}
-				futs = append(futs, fut)
-				if len(futs) == window && !drain() {
-					return
-				}
-			}
-			drain()
-			mu.Lock()
-			stranded += bad
-			mu.Unlock()
-		}(c)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			return stranded, fmt.Errorf("shard client: %w", err)
-		}
-	}
-	return stranded, nil
 }

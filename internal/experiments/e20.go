@@ -2,18 +2,16 @@ package experiments
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"os"
 	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"detshmem/internal/consistency"
-	"detshmem/internal/frontend"
+	"detshmem/internal/loadgen"
 	"detshmem/internal/mpc"
 	"detshmem/internal/protocol"
 	"detshmem/internal/shard"
@@ -203,6 +201,7 @@ func e20SamplingOverhead(w io.Writer, o Options, rep *e20Report) error {
 	for c := range streams {
 		streams[c] = workload.HotSpot(workload.ClientRNG(o.Seed+20, c), inst.s.NumVariables, opsPer, 16, 0.5)
 	}
+	ops := shardOps(streams, o.Seed+20)
 
 	engines := []struct {
 		name string
@@ -235,7 +234,7 @@ func e20SamplingOverhead(w io.Writer, o Options, rep *e20Report) error {
 				break
 			}
 			svcs[i] = svc
-			if err = driveShards(svc, streams, 4, o.Seed+20); err != nil {
+			if err = runHealthy(svc, head(ops, 4), loadgen.Config{Window: clientWindow}); err != nil {
 				break
 			}
 		}
@@ -255,7 +254,7 @@ func e20SamplingOverhead(w io.Writer, o Options, rep *e20Report) error {
 			for i := range rates {
 				runtime.GC()
 				start := time.Now()
-				err = driveShards(svcs[i], streams, 1, o.Seed+20)
+				err = runHealthy(svcs[i], ops, loadgen.Config{Window: clientWindow})
 				if ferr := svcs[i].Flush(); err == nil {
 					err = ferr
 				}
@@ -300,78 +299,14 @@ func e20SamplingOverhead(w io.Writer, o Options, rep *e20Report) error {
 	return nil
 }
 
-// e20Drive drives the service with windowed traffic from concurrent clients,
-// recording every operation in program order on its client's recorder.
-// Operations on faulty variables may resolve with ErrQuorumUnreachable;
-// those are recorded as failed. Any other error fails the drive.
+// e20Drive replays recorded uniform traffic over vars. Stranded ops are
+// recorded as failed; a blocked op fails the drive.
 func e20Drive(svc *shard.Service, rr *consistency.RunRecorder, clients, opsPerClient int, vars []uint64, seed int64) error {
-	var wg sync.WaitGroup
-	errs := make(chan error, clients)
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			cr := rr.Client(c)
-			rng := rand.New(rand.NewSource(seed + int64(c)*6151))
-			type slot struct {
-				fut   *frontend.Future
-				write bool
-				v     uint64
-				val   uint64
-			}
-			const window = 16
-			pending := make([]slot, 0, window)
-			drain := func() bool {
-				for _, s := range pending {
-					got, err := s.fut.Wait()
-					if err != nil {
-						if !errors.Is(err, protocol.ErrQuorumUnreachable) {
-							errs <- err
-							return false
-						}
-						cr.Record(s.write, s.v, s.val, true)
-						continue
-					}
-					if s.write {
-						cr.Record(true, s.v, s.val, false)
-					} else {
-						cr.Record(false, s.v, got, false)
-					}
-				}
-				pending = pending[:0]
-				return true
-			}
-			for i := 0; i < opsPerClient; i++ {
-				v := vars[rng.Intn(len(vars))]
-				var s slot
-				var err error
-				if rng.Intn(100) < 40 {
-					s = slot{write: true, v: v, val: cr.WriteValue()}
-					s.fut, err = svc.WriteAsync(v, s.val)
-				} else {
-					s = slot{v: v}
-					s.fut, err = svc.ReadAsync(v)
-				}
-				if err != nil {
-					errs <- err
-					return
-				}
-				pending = append(pending, s)
-				if len(pending) == window && !drain() {
-					return
-				}
-			}
-			drain()
-		}(c)
+	res, err := runRecorded(svc, rr, clients, opsPerClient, vars, seed, 6151)
+	if err == nil && res.Blocked > 0 {
+		err = fmt.Errorf("e20: %d ops blocked", res.Blocked)
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return err
 }
 
 // e20RecordedRuns is Part C: record real client traces across the
@@ -469,9 +404,9 @@ func e20RecordedRuns(w io.Writer, o Options, rep *e20Report) error {
 		MaxBatch: 16,
 		Protocol: o.instrument(protocol.Config{
 			Resolver: resolver,
-			NewMachine: func(mcfg mpc.Config) (protocol.Machine, error) {
+			Transport: protocol.TransportFunc(func(mcfg mpc.Config) (protocol.Machine, error) {
 				return mpc.NewFailingShared(mcfg, fs)
-			},
+			}),
 			MaxIterationsPerPhase: 2048,
 		}),
 	})

@@ -8,9 +8,9 @@ import (
 	"os"
 	"runtime"
 	"sort"
-	"sync"
 	"time"
 
+	"detshmem/internal/loadgen"
 	"detshmem/internal/mpc"
 	"detshmem/internal/protocol"
 	"detshmem/internal/shard"
@@ -99,20 +99,21 @@ func E21(w io.Writer, o Options) error {
 	}
 
 	type row struct {
-		Config     string  `json:"config"`
-		Workload   string  `json:"workload"`
-		Procs      int     `json:"gomaxprocs"`
-		Shards     int     `json:"shards"`
-		Pipeline   bool    `json:"pipeline"`
-		Batched    bool    `json:"batched"`
-		Faults     int     `json:"faults,omitempty"`
-		NsPerOp    float64 `json:"ns_per_op"`
-		OpsPerSec  float64 `json:"ops_per_sec"`
-		CombinePct float64 `json:"combine_pct"`
-		Imbalance  float64 `json:"imbalance"`
-		Stranded   int64   `json:"stranded,omitempty"`
-		Speedup    float64 `json:"speedup_vs_baseline"`
-		ScaleVsP1  float64 `json:"scale_vs_p1"`
+		Config      string  `json:"config"`
+		Workload    string  `json:"workload"`
+		Procs       int     `json:"gomaxprocs"`
+		Shards      int     `json:"shards"`
+		Pipeline    bool    `json:"pipeline"`
+		Batched     bool    `json:"batched"`
+		Faults      int     `json:"faults,omitempty"`
+		NsPerOp     float64 `json:"ns_per_op"`
+		OpsPerSec   float64 `json:"ops_per_sec"`
+		CombinePct  float64 `json:"combine_pct"`
+		Imbalance   float64 `json:"imbalance"`
+		StrandedOps int64   `json:"stranded_ops,omitempty"`
+		BlockedOps  int64   `json:"blocked_ops,omitempty"`
+		Speedup     float64 `json:"speedup_vs_baseline"`
+		ScaleVsP1   float64 `json:"scale_vs_p1"`
 	}
 	report := struct {
 		Experiment string   `json:"experiment"`
@@ -155,6 +156,7 @@ func E21(w io.Writer, o Options) error {
 			for c := range streams {
 				streams[c] = wl.stream(workload.ClientRNG(o.Seed+21, c))
 			}
+			clientOps := shardOps(streams, o.Seed+21)
 			var baseNs float64
 			for _, cfg := range configs {
 				scfg := shard.Config{
@@ -165,9 +167,9 @@ func E21(w io.Writer, o Options) error {
 				var fs *mpc.FaultSet
 				if cfg.faults > 0 {
 					fs = mpc.NewFaultSet()
-					scfg.Protocol.NewMachine = func(mcfg mpc.Config) (protocol.Machine, error) {
+					scfg.Protocol.Transport = protocol.TransportFunc(func(mcfg mpc.Config) (protocol.Machine, error) {
 						return mpc.NewFailingShared(mcfg, fs)
-					}
+					})
 				}
 				svc, err := shard.New(inst.pp, scfg)
 				if err != nil {
@@ -180,17 +182,16 @@ func E21(w io.Writer, o Options) error {
 						fs.Fail(uint64(m))
 					}
 				}
-				drive := func(div int) (int64, error) {
-					switch {
-					case fs != nil:
-						return driveShardsFaulty(svc, streams, div, o.Seed+21)
-					case cfg.batched:
-						return 0, driveShardsBatched(svc, streams, div, o.Seed+21)
-					default:
-						return 0, driveShards(svc, streams, div, o.Seed+21)
+				// The faulty cell tolerates failed ops and counts them; every
+				// other cell is fault-free.
+				lcfg := loadgen.Config{Window: clientWindow, Batched: cfg.batched}
+				drive := func(ops [][]loadgen.Op) (loadgen.Result, error) {
+					if fs != nil {
+						return loadgen.Run(svc, ops, lcfg)
 					}
+					return loadgen.Result{}, runHealthy(svc, ops, lcfg)
 				}
-				if _, err := drive(4); err != nil {
+				if _, err := drive(head(clientOps, 4)); err != nil {
 					_ = svc.Close()
 					return err
 				}
@@ -199,11 +200,11 @@ func E21(w io.Writer, o Options) error {
 				if o.Quick {
 					reps = 2
 				}
-				var stranded int64
+				var res loadgen.Result
 				elapsedNs := make([]int64, 0, reps)
 				for r := 0; r < reps && err == nil; r++ {
 					start := time.Now()
-					stranded, err = drive(1)
+					res, err = drive(clientOps)
 					if ferr := svc.Flush(); err == nil {
 						err = ferr
 					}
@@ -241,9 +242,10 @@ func E21(w io.Writer, o Options) error {
 					Config: cfg.name, Workload: wl.name, Procs: procs,
 					Shards: cfg.shards, Pipeline: cfg.pipe, Batched: cfg.batched,
 					Faults: cfg.faults, NsPerOp: nsPerOp,
-					OpsPerSec:  ops * 1e9 / float64(elapsedNs[len(elapsedNs)/2]),
-					CombinePct: 100 * st.Total.CombiningRate(),
-					Imbalance:  st.Imbalance(), Stranded: stranded,
+					OpsPerSec:   ops * 1e9 / float64(elapsedNs[len(elapsedNs)/2]),
+					CombinePct:  100 * st.Total.CombiningRate(),
+					Imbalance:   st.Imbalance(),
+					StrandedOps: res.Stranded, BlockedOps: res.Blocked,
 					Speedup: speed, ScaleVsP1: scaleP1,
 				})
 			}
@@ -263,60 +265,6 @@ func E21(w io.Writer, o Options) error {
 			return fmt.Errorf("e21: writing %s: %w", path, err)
 		}
 		fprintf(w, "  (wrote %s)\n\n", path)
-	}
-	return nil
-}
-
-// driveShardsBatched replays the same client streams as driveShards, but
-// through the cross-shard batch API: each client submits its 64-op window
-// as one AccessBatch call (one ring claim per touched shard) instead of 64
-// per-op submissions. The read/write coin replays identically, so batched
-// and per-op cells are comparable op for op.
-func driveShardsBatched(svc *shard.Service, streams [][]uint64, div int, seed int64) error {
-	const window = 64
-	var wg sync.WaitGroup
-	errs := make(chan error, len(streams))
-	for c := range streams {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			rng := workload.ClientRNG(seed, c)
-			stream := streams[c][:len(streams[c])/div]
-			ops := make([]shard.BatchOp, 0, window)
-			flush := func() bool {
-				if len(ops) == 0 {
-					return true
-				}
-				b, err := svc.AccessBatch(ops)
-				if err == nil {
-					err = b.Wait()
-				}
-				if err != nil {
-					errs <- err
-					return false
-				}
-				ops = ops[:0]
-				return true
-			}
-			for i, v := range stream {
-				if rng.Intn(100) < 40 {
-					ops = append(ops, shard.BatchOp{Write: true, Var: v, Val: uint64(c)<<32 | uint64(i)})
-				} else {
-					ops = append(ops, shard.BatchOp{Var: v})
-				}
-				if len(ops) == window && !flush() {
-					return
-				}
-			}
-			flush()
-		}(c)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			return fmt.Errorf("batched shard client: %w", err)
-		}
 	}
 	return nil
 }

@@ -2,19 +2,15 @@ package experiments
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
 	"net"
 	"os"
 	"runtime"
-	"sync"
 	"time"
 
 	"detshmem/internal/consistency"
-	"detshmem/internal/frontend"
 	"detshmem/internal/netmpc"
 	"detshmem/internal/protocol"
 	"detshmem/internal/shard"
@@ -89,7 +85,7 @@ func E22(w io.Writer, o Options) error {
 	}
 
 	fprintf(w, "E22 Networked MPC: q=2 n=%d (%d modules), %d clients, window %d\n",
-		n, inst.s.NumModules, clients, e22Window)
+		n, inst.s.NumModules, clients, recordedWindow)
 	fprintf(w, "%-12s %10s %10s %12s %10s %10s %s\n",
 		"cell", "ops", "failed", "ns/op", "ops/sec", "strandrate", "verdict")
 
@@ -183,8 +179,6 @@ func E22(w io.Writer, o Options) error {
 	}
 	return nil
 }
-
-const e22Window = 16
 
 type e22Report struct {
 	Experiment string   `json:"experiment"`
@@ -305,91 +299,15 @@ func e22Certify(rec *consistency.Recorder, label string) (bool, error) {
 	return false, fmt.Errorf("e22: run %q not found in trace set", label)
 }
 
-// e22Drive is the windowed async client driver (the e20 pattern): each
-// client keeps a window of in-flight futures against the service, records
-// every committed operation, and records stranded operations
-// (ErrQuorumUnreachable) as failed so the checker drops them. Returns total
-// and failed op counts.
+// e22Drive replays recorded uniform traffic over vars. Stranded ops are
+// recorded as failed so the checker drops them; a blocked op fails the
+// drive. Returns the resolved and stranded op counts.
 func e22Drive(svc *shard.Service, rr *consistency.RunRecorder, clients, opsPerClient int, vars []uint64, seed int64) (int64, int64, error) {
-	var wg sync.WaitGroup
-	var total, failed int64
-	var mu sync.Mutex
-	errs := make(chan error, clients)
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			cr := rr.Client(c)
-			rng := rand.New(rand.NewSource(seed + int64(c)*7919))
-			type slot struct {
-				fut   *frontend.Future
-				write bool
-				v     uint64
-				val   uint64
-			}
-			pending := make([]slot, 0, e22Window)
-			var done, stranded int64
-			drain := func() bool {
-				for _, s := range pending {
-					got, err := s.fut.Wait()
-					done++
-					if err != nil {
-						if !errors.Is(err, protocol.ErrQuorumUnreachable) {
-							errs <- err
-							return false
-						}
-						stranded++
-						cr.Record(s.write, s.v, s.val, true)
-						continue
-					}
-					if s.write {
-						cr.Record(true, s.v, s.val, false)
-					} else {
-						cr.Record(false, s.v, got, false)
-					}
-				}
-				pending = pending[:0]
-				return true
-			}
-			flush := func() {
-				mu.Lock()
-				total += done
-				failed += stranded
-				mu.Unlock()
-			}
-			for i := 0; i < opsPerClient; i++ {
-				v := vars[rng.Intn(len(vars))]
-				var s slot
-				var err error
-				if rng.Intn(100) < 40 {
-					s = slot{write: true, v: v, val: cr.WriteValue()}
-					s.fut, err = svc.WriteAsync(v, s.val)
-				} else {
-					s = slot{v: v}
-					s.fut, err = svc.ReadAsync(v)
-				}
-				if err != nil {
-					errs <- err
-					flush()
-					return
-				}
-				pending = append(pending, s)
-				if len(pending) == e22Window && !drain() {
-					flush()
-					return
-				}
-			}
-			drain()
-			flush()
-		}(c)
+	res, err := runRecorded(svc, rr, clients, opsPerClient, vars, seed, 7919)
+	if err == nil && res.Blocked > 0 {
+		err = fmt.Errorf("e22: %d ops blocked", res.Blocked)
 	}
-	wg.Wait()
-	select {
-	case err := <-errs:
-		return total, failed, err
-	default:
-	}
-	return total, failed, nil
+	return res.Ops, res.Stranded, err
 }
 
 // e22KillCell runs the degraded cell: half the workload healthy, then one

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
 	"net"
 	"os"
 	"runtime"
@@ -14,7 +13,6 @@ import (
 	"time"
 
 	"detshmem/internal/consistency"
-	"detshmem/internal/frontend"
 	"detshmem/internal/mpc"
 	"detshmem/internal/netmpc"
 	"detshmem/internal/protocol"
@@ -191,9 +189,9 @@ type e24Row struct {
 func e24Service(o Options, inst *e7Instance, resolver *protocol.CompiledResolver, fs *mpc.FaultSet) (*shard.Service, error) {
 	pcfg := o.instrument(protocol.Config{Resolver: resolver})
 	if fs != nil {
-		pcfg.NewMachine = func(mcfg mpc.Config) (protocol.Machine, error) {
+		pcfg.Transport = protocol.TransportFunc(func(mcfg mpc.Config) (protocol.Machine, error) {
 			return mpc.NewFailingShared(mcfg, fs)
-		}
+		})
 		pcfg.FaultAttempts = 64
 		pcfg.MaxIterationsPerPhase = 2048
 	}
@@ -205,94 +203,16 @@ func e24Service(o Options, inst *e7Instance, resolver *protocol.CompiledResolver
 	})
 }
 
-// e24Drive is e22's windowed async driver extended for the repair regime:
-// ErrQuorumUnreachable means stranded (live copies below quorum — with
-// repair on this must never happen), while a plain incomplete verdict means
-// blocked (the quorum was only unreachable because re-admitted modules were
-// still uncertified — the op failed cleanly and nothing was lost). Both are
-// recorded as failed operations so the consistency checker drops them.
+// e24Drive replays recorded uniform traffic over vars in the repair
+// regime: ErrQuorumUnreachable means stranded (live copies below quorum —
+// with repair on this must never happen), while a plain incomplete verdict
+// means blocked (the quorum was only unreachable because re-admitted
+// modules were still uncertified — the op failed cleanly and nothing was
+// lost). Both are recorded as failed operations so the consistency checker
+// drops them.
 func e24Drive(svc *shard.Service, rr *consistency.RunRecorder, clients, opsPerClient int, vars []uint64, seed int64) (total, stranded, blocked int64, err error) {
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	errs := make(chan error, clients)
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			cr := rr.Client(c)
-			rng := rand.New(rand.NewSource(seed + int64(c)*7919))
-			type slot struct {
-				fut   *frontend.Future
-				write bool
-				v     uint64
-				val   uint64
-			}
-			pending := make([]slot, 0, e22Window)
-			var done, lost, held int64
-			drain := func() bool {
-				for _, s := range pending {
-					got, werr := s.fut.Wait()
-					done++
-					if werr != nil {
-						if errors.Is(werr, protocol.ErrQuorumUnreachable) {
-							lost++
-						} else if errors.Is(werr, protocol.ErrIncomplete) {
-							held++
-						} else {
-							errs <- werr
-							return false
-						}
-						cr.Record(s.write, s.v, s.val, true)
-						continue
-					}
-					if s.write {
-						cr.Record(true, s.v, s.val, false)
-					} else {
-						cr.Record(false, s.v, got, false)
-					}
-				}
-				pending = pending[:0]
-				return true
-			}
-			flush := func() {
-				mu.Lock()
-				total += done
-				stranded += lost
-				blocked += held
-				mu.Unlock()
-			}
-			for i := 0; i < opsPerClient; i++ {
-				v := vars[rng.Intn(len(vars))]
-				var s slot
-				var serr error
-				if rng.Intn(100) < 40 {
-					s = slot{write: true, v: v, val: cr.WriteValue()}
-					s.fut, serr = svc.WriteAsync(v, s.val)
-				} else {
-					s = slot{v: v}
-					s.fut, serr = svc.ReadAsync(v)
-				}
-				if serr != nil {
-					errs <- serr
-					flush()
-					return
-				}
-				pending = append(pending, s)
-				if len(pending) == e22Window && !drain() {
-					flush()
-					return
-				}
-			}
-			drain()
-			flush()
-		}(c)
-	}
-	wg.Wait()
-	select {
-	case err = <-errs:
-	default:
-	}
-	return total, stranded, blocked, err
+	res, err := runRecorded(svc, rr, clients, opsPerClient, vars, seed, 7919)
+	return res.Ops, res.Stranded, res.Blocked, err
 }
 
 // e24DrainRepair drives light traffic until the fault set's repair backlog

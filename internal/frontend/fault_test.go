@@ -63,7 +63,7 @@ func TestFrontendDegradedServing(t *testing.T) {
 	fs := mpc.NewFaultSet()
 	sys, err := protocol.NewSystem(s, idx, protocol.Config{
 		MaxIterationsPerPhase: 2048,
-		NewMachine:            func(cfg mpc.Config) (protocol.Machine, error) { return mpc.NewFailingShared(cfg, fs) },
+		Transport:             protocol.TransportFunc(func(cfg mpc.Config) (protocol.Machine, error) { return mpc.NewFailingShared(cfg, fs) }),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -7,11 +7,23 @@ import (
 	"detshmem/internal/workload"
 )
 
-// TestAddressCacheEquivalence: with and without the address cache, a long
-// mixed batch sequence produces identical values and identical metrics.
+// lazyResolver compiles m's address table lazily: nothing is resolved until
+// a batch touches it.
+func lazyResolver(t testing.TB, m Mapper) *CompiledResolver {
+	t.Helper()
+	res, err := CompileMapper(m, CompileOptions{Lazy: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestAddressCacheEquivalence: with and without a lazily compiled address
+// table, a long mixed batch sequence produces identical values and
+// identical metrics.
 func TestAddressCacheEquivalence(t *testing.T) {
 	plain := newSystem(t, 1, 5, Config{})
-	cached := newSystem(t, 1, 5, Config{CacheAddresses: true})
+	cached := newSystem(t, 1, 5, Config{Resolver: lazyResolver(t, plain.Mapper)})
 	rng := rand.New(rand.NewSource(33))
 	M := plain.Mapper.NumVars()
 	for batch := 0; batch < 15; batch++ {

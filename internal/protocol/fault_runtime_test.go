@@ -16,7 +16,7 @@ import (
 // given runtime fault set.
 func sharedFaultSystem(t testing.TB, s *core.Scheme, idx core.Indexer, fs *mpc.FaultSet, cfg Config) *System {
 	t.Helper()
-	cfg.NewMachine = func(mcfg mpc.Config) (Machine, error) { return mpc.NewFailingShared(mcfg, fs) }
+	cfg.Transport = TransportFunc(func(mcfg mpc.Config) (Machine, error) { return mpc.NewFailingShared(mcfg, fs) })
 	if cfg.MaxIterationsPerPhase == 0 {
 		cfg.MaxIterationsPerPhase = 2048
 	}
@@ -182,9 +182,9 @@ func TestFaultMatrix(t *testing.T) {
 						cfg := Config{
 							Parallel:              parallel,
 							MaxIterationsPerPhase: 2048,
-							NewMachine: func(mcfg mpc.Config) (Machine, error) {
+							Transport: TransportFunc(func(mcfg mpc.Config) (Machine, error) {
 								return mpc.NewFailingShared(mcfg, fs)
-							},
+							}),
 						}
 						if compiled {
 							r, err := CompileMapper(m, CompileOptions{})
@@ -304,14 +304,14 @@ func TestMidPhaseTotalBidLoss(t *testing.T) {
 			sys, err := NewSystem(s, idx, Config{
 				Policy:                tc.policy,
 				MaxIterationsPerPhase: 256,
-				NewMachine: func(mcfg mpc.Config) (Machine, error) {
+				Transport: TransportFunc(func(mcfg mpc.Config) (Machine, error) {
 					f, err := mpc.NewFailingShared(mcfg, fs)
 					if err != nil {
 						return nil, err
 					}
 					wrap = &epochFailMachine{Failing: f, mods: mods}
 					return wrap, nil
-				},
+				}),
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -23,9 +23,9 @@ func failingSystem(t testing.TB, m, n int, failed []uint64) *System {
 	}
 	sys, err := NewSystem(s, idx, Config{
 		MaxIterationsPerPhase: 2048,
-		NewMachine: func(cfg mpc.Config) (Machine, error) {
+		Transport: TransportFunc(func(cfg mpc.Config) (Machine, error) {
 			return mpc.NewFailing(cfg, failed)
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +169,7 @@ func TestNetworkMachineIntegration(t *testing.T) {
 		t.Fatal(err)
 	}
 	routed, err := NewSystem(s, idx, Config{
-		NewMachine: func(cfg mpc.Config) (Machine, error) { return network.NewMachine(cfg) },
+		Transport: TransportFunc(func(cfg mpc.Config) (Machine, error) { return network.NewMachine(cfg) }),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -33,9 +33,9 @@ func TestPolicyFaultToleranceContrast(t *testing.T) {
 		sys, err := NewSystem(s, idx, Config{
 			Policy:                policy,
 			MaxIterationsPerPhase: 512,
-			NewMachine: func(cfg mpc.Config) (Machine, error) {
+			Transport: TransportFunc(func(cfg mpc.Config) (Machine, error) {
 				return mpc.NewFailing(cfg, []uint64{f})
-			},
+			}),
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -141,8 +141,7 @@ type ResolverStrategy uint8
 
 const (
 	// ResolverAuto (the zero value) keeps the historical behavior: use the
-	// configured resolver (or the mapper itself when already compiled, or a
-	// lazy private resolver under the deprecated CacheAddresses flag), and
+	// configured resolver (or the mapper itself when already compiled), and
 	// resolve live through the mapper's batched path otherwise.
 	ResolverAuto ResolverStrategy = iota
 	// ResolverCompiled requires a compiled table: the configured resolver if
@@ -211,15 +210,12 @@ type Config struct {
 	// TraceLive records LiveTrace (costs one counter sweep per iteration
 	// and allocates for the trace itself).
 	TraceLive bool
-	// NewMachine overrides interconnect construction (failure injection,
-	// routed networks); nil uses the Transport (or the plain MPC). It takes
-	// precedence over Transport when both are set.
-	NewMachine func(cfg mpc.Config) (Machine, error)
 	// Transport selects how bid rounds reach the memory modules: nil (or
 	// Inproc) is the in-process MPC simulator, netmpc's TCP transport fans
-	// rounds out to remote memserver processes. The System builds machines
-	// through the transport but never closes it — the caller owns the
-	// transport's lifetime.
+	// rounds out to remote memserver processes, and a TransportFunc builds
+	// any other interconnect (failure injection, routed networks). The
+	// System builds machines through the transport but never closes it —
+	// the caller owns the transport's lifetime.
 	Transport Transport
 	// MaxIterationsPerPhase bounds a phase's iteration count; 0 means the
 	// generous default 8N+64. The bound can only trigger when requests are
@@ -265,15 +261,6 @@ type Config struct {
 	// HotCacheSlots sizes the private hybrid cache (rounded up to a power of
 	// two); 0 means DefaultHotCacheSlots. Ignored when HotCache is set.
 	HotCacheSlots int
-	//
-	// Deprecated: CacheAddresses memoized each variable's copy addresses in
-	// a per-System unbounded map that was neither shared across Systems nor
-	// safe to share. It is superseded by the compiled resolver: set
-	// Resolver (or build the System directly over a CompiledResolver) to
-	// control compilation explicitly. The flag still works — it is now
-	// routed through a lazily compiled resolver private to the System, so
-	// memory grows shard-wise with the touched working set.
-	CacheAddresses bool
 }
 
 // System binds a memory organization (as a Mapper), copy storage and an MPC
@@ -395,14 +382,6 @@ func NewGenericSystem(m Mapper, cfg Config) (*System, error) {
 		}
 	case isCompiled(m):
 		resolver = m.(*CompiledResolver)
-	case cfg.CacheAddresses:
-		// Deprecated flag, kept working: route it through a lazily compiled
-		// private resolver instead of the old unbounded per-System map.
-		var err error
-		resolver, err = CompileMapper(m, CompileOptions{Lazy: true})
-		if err != nil {
-			return nil, err
-		}
 	}
 	bulkSrc := m
 	var hot *HotCache
@@ -846,12 +825,9 @@ func (sys *System) obtainMachine(procs int) (Machine, int, error) {
 	}
 	var machine Machine
 	var err error
-	switch {
-	case sys.cfg.NewMachine != nil:
-		machine, err = sys.cfg.NewMachine(mcfg)
-	case sys.cfg.Transport != nil:
+	if sys.cfg.Transport != nil {
 		machine, err = sys.cfg.Transport.NewMachine(mcfg)
-	default:
+	} else {
 		machine, err = mpc.New(mcfg)
 	}
 	if err != nil {

@@ -30,7 +30,7 @@ func repairSystem(t testing.TB, policy CopyPolicy, hook func(round int)) (*Syste
 	sys, err := NewSystem(s, idx, Config{
 		Policy:                policy,
 		MaxIterationsPerPhase: 2048,
-		NewMachine: func(cfg mpc.Config) (Machine, error) {
+		Transport: TransportFunc(func(cfg mpc.Config) (Machine, error) {
 			f, err := mpc.NewFailingShared(cfg, fs)
 			if err != nil {
 				return nil, err
@@ -39,7 +39,7 @@ func repairSystem(t testing.TB, policy CopyPolicy, hook func(round int)) (*Syste
 				return f, nil
 			}
 			return &hookedMachine{Failing: f, hook: hook}, nil
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -326,9 +326,9 @@ func TestRepairPumpRidesBatches(t *testing.T) {
 	sys, err := NewSystem(s, idx, Config{
 		MaxIterationsPerPhase: 2048,
 		Observer:              col,
-		NewMachine: func(cfg mpc.Config) (Machine, error) {
+		Transport: TransportFunc(func(cfg mpc.Config) (Machine, error) {
 			return mpc.NewFailingShared(cfg, fs)
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -444,9 +444,9 @@ func TestRepairPauseIgnoresStaleSweep(t *testing.T) {
 		// Small budget so one sweep spans several steps and the fault set
 		// can move while it is in flight.
 		RepairBudget: 8,
-		NewMachine: func(cfg mpc.Config) (Machine, error) {
+		Transport: TransportFunc(func(cfg mpc.Config) (Machine, error) {
 			return mpc.NewFailingShared(cfg, fs)
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)

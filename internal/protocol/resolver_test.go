@@ -300,7 +300,7 @@ func TestSystemWiresResolverObserver(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := obs.NewCollector()
-	sys, err := NewGenericSystem(mv, Config{CacheAddresses: true, Observer: c})
+	sys, err := NewGenericSystem(mv, Config{Resolver: lazyResolver(t, mv), Observer: c})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,30 +313,5 @@ func TestSystemWiresResolverObserver(t *testing.T) {
 	if c.ResolverShards.Load() == 0 || c.ResolverBytes.Load() == 0 {
 		t.Fatalf("gauges not updated by lazy materialization: shards=%d bytes=%d",
 			c.ResolverShards.Load(), c.ResolverBytes.Load())
-	}
-}
-
-// TestCacheAddressesRoutesThroughResolver checks the deprecated flag now
-// attaches a lazy private resolver rather than the removed address map.
-func TestCacheAddressesRoutesThroughResolver(t *testing.T) {
-	mv, err := baseline.NewMV(64, 4096, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := NewGenericSystem(mv, Config{CacheAddresses: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sys.resolver == nil {
-		t.Fatal("CacheAddresses did not attach a resolver")
-	}
-	if sys.resolver.Compiled() != 0 {
-		t.Fatal("CacheAddresses resolver not lazy")
-	}
-	if _, err := sys.WriteBatch([]uint64{1, 2, 3}, []uint64{10, 20, 30}); err != nil {
-		t.Fatal(err)
-	}
-	if sys.resolver.Compiled() == 0 {
-		t.Fatal("lazy resolver did not materialize after an access")
 	}
 }

@@ -34,10 +34,10 @@ func TestDifferentialStress(t *testing.T) {
 		{Arb: mpc.ArbRandom, Seed: 17},
 		{Parallel: true, Workers: 3},
 		{ClusterSize: 5},
-		{CacheAddresses: true},
-		{NewMachine: func(cfg mpc.Config) (Machine, error) {
+		{Resolver: lazyResolver(t, NewCoreMapper(s, idx))},
+		{Transport: TransportFunc(func(cfg mpc.Config) (Machine, error) {
 			return network.NewMachineTopology(cfg, network.TopoHypercube)
-		}},
+		})},
 	}
 	for ci, cfg := range configs {
 		cfg := cfg

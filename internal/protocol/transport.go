@@ -23,6 +23,7 @@ import (
 // Two implementations exist: Inproc (the in-process MPC simulator, the
 // default and the zero-regression path) and internal/netmpc's TCP transport,
 // where contiguous module ranges live on remote memserver processes.
+// TransportFunc wraps any other machine constructor.
 type Transport interface {
 	// Name identifies the transport in reports ("inproc", "tcp").
 	Name() string
@@ -39,6 +40,17 @@ type inprocTransport struct{}
 func (inprocTransport) Name() string { return "inproc" }
 
 func (inprocTransport) NewMachine(cfg mpc.Config) (Machine, error) { return mpc.New(cfg) }
+
+// TransportFunc adapts a machine constructor to Transport: the way to run
+// the protocol over an interconnect built around caller state, such as an
+// mpc.Failing over a shared fault set or a routed network.
+type TransportFunc func(cfg mpc.Config) (Machine, error)
+
+// Name reports "func": a bare constructor carries no name of its own.
+func (TransportFunc) Name() string { return "func" }
+
+// NewMachine calls f.
+func (f TransportFunc) NewMachine(cfg mpc.Config) (Machine, error) { return f(cfg) }
 
 // Inproc is the in-process transport — today's direct-call path. A nil
 // Config.Transport means Inproc; the value exists so configuration plumbing

@@ -24,7 +24,7 @@ func faultService(t testing.TB, shards int, fs *mpc.FaultSet, pcfg protocol.Conf
 	if err != nil {
 		t.Fatal(err)
 	}
-	pcfg.NewMachine = func(mcfg mpc.Config) (protocol.Machine, error) { return mpc.NewFailingShared(mcfg, fs) }
+	pcfg.Transport = protocol.TransportFunc(func(mcfg mpc.Config) (protocol.Machine, error) { return mpc.NewFailingShared(mcfg, fs) })
 	if pcfg.MaxIterationsPerPhase == 0 {
 		pcfg.MaxIterationsPerPhase = 2048
 	}

@@ -49,9 +49,9 @@ func TestChurnSoakRepair(t *testing.T) {
 		Audit:    consistency.AuditConfig{Rate: 1},
 		Protocol: protocol.Config{
 			FaultAttempts: 64,
-			NewMachine: func(mcfg mpc.Config) (protocol.Machine, error) {
+			Transport: protocol.TransportFunc(func(mcfg mpc.Config) (protocol.Machine, error) {
 				return mpc.NewFailingShared(mcfg, fs)
-			},
+			}),
 			MaxIterationsPerPhase: 2048,
 		},
 	})
