@@ -86,7 +86,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "memserver: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Printf("memserver: drained %d frames, exiting\n", sv.FramesServed())
+	st := sv.Stats()
+	fmt.Printf("memserver: drained %d frames, %d grants, %d bids lost arbitration, %d store bytes resident; exiting\n",
+		st.Frames, st.Grants, st.LostBids, st.StoreBytes)
 }
 
 // serve runs the server on ln until it stops on its own (listener error) or

@@ -590,7 +590,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	if _, err := Dial(testDialConfig(s, addrs)); err == nil {
 		t.Fatal("dial succeeded against a shut-down server")
 	}
-	if served := servers[0].FramesServed(); served == 0 {
+	if served := servers[0].Stats().Frames; served == 0 {
 		t.Fatal("server reports zero frames served")
 	}
 }

@@ -41,12 +41,45 @@ type cell struct {
 	val, ts uint64
 }
 
-// store is one StoreID's namespace: a sparse cell map guarded by a mutex.
-// A client holds one connection per server, so contention is reconnects and
-// deliberately shared StoreIDs only.
+// A store page holds pageSize cells (64 KiB) and is the store's unit of
+// allocation.
+const (
+	pageBits  = 12
+	pageSize  = 1 << pageBits
+	pageMask  = pageSize - 1
+	pageBytes = pageSize * 16 // two uint64 per cell
+)
+
+type page [pageSize]cell
+
+// store is one StoreID's namespace: a page directory over the whole address
+// space whose pages are allocated on first write, so memory stays bounded by
+// the pages actually written and a never-written cell reads as (0, 0)
+// without allocating. The mutex guards the cells; a client holds one
+// connection per server, so contention is reconnects and deliberately
+// shared StoreIDs only.
 type store struct {
 	mu    sync.Mutex
-	cells map[uint64]cell
+	pages []*page
+	// resident counts allocated pages across every store of the server.
+	resident *atomic.Uint64
+}
+
+func (st *store) get(addr uint64) cell {
+	if pg := st.pages[addr>>pageBits]; pg != nil {
+		return pg[addr&pageMask]
+	}
+	return cell{}
+}
+
+func (st *store) put(addr uint64, c cell) {
+	pg := st.pages[addr>>pageBits]
+	if pg == nil {
+		pg = new(page)
+		st.pages[addr>>pageBits] = pg
+		st.resident.Add(1)
+	}
+	pg[addr&pageMask] = c
 }
 
 // Server serves a contiguous module range to netmpc clients: it validates
@@ -71,10 +104,13 @@ type Server struct {
 	// the cells it wrote still exist.
 	gen uint64
 
-	// frames and grants count served round frames and granted bids, for
-	// tests and operational logging.
+	// frames, grants and lost count served round frames, granted bids and
+	// bids that lost arbitration; pages counts allocated store pages. They
+	// feed Stats.
 	frames atomic.Uint64
 	grants atomic.Uint64
+	lost   atomic.Uint64
+	pages  atomic.Uint64
 }
 
 // genSeq disambiguates servers minted in the same clock tick (tests start
@@ -142,8 +178,26 @@ func (s *Server) Addr() net.Addr {
 	return s.ln.Addr()
 }
 
-// FramesServed returns the number of round frames processed.
-func (s *Server) FramesServed() uint64 { return s.frames.Load() }
+// ServeStats is a memserver's serving snapshot: round frames served, bids
+// granted, bids that lost arbitration to a smaller claim at their module,
+// and the resident store size (allocated 64 KiB pages, over every
+// StoreID).
+type ServeStats struct {
+	Frames     uint64 `json:"frames"`
+	Grants     uint64 `json:"grants"`
+	LostBids   uint64 `json:"lost_bids"`
+	StoreBytes uint64 `json:"store_bytes"`
+}
+
+// Stats snapshots the server's serving counters.
+func (s *Server) Stats() ServeStats {
+	return ServeStats{
+		Frames:     s.frames.Load(),
+		Grants:     s.grants.Load(),
+		LostBids:   s.lost.Load(),
+		StoreBytes: s.pages.Load() * pageBytes,
+	}
+}
 
 // Shutdown stops the server gracefully: new connections and new frames are
 // refused, handlers get up to grace to finish (and reply to) a frame already
@@ -196,7 +250,10 @@ func (s *Server) storeFor(id uint32) *store {
 	defer s.mu.Unlock()
 	st := s.stores[id]
 	if st == nil {
-		st = &store{cells: make(map[uint64]cell)}
+		st = &store{
+			pages:    make([]*page, (s.cfg.AddrSpace+pageMask)>>pageBits),
+			resident: &s.pages,
+		}
 		s.stores[id] = st
 	}
 	return st
@@ -265,9 +322,12 @@ func (s *Server) handle(conn net.Conn) {
 	}
 
 	var (
-		frame   RoundFrame
-		reply   RoundReply
-		winners = make(map[uint64]int) // module -> index of min-claim bid
+		frame RoundFrame
+		reply RoundReply
+		// claims is the per-module arbitration table over [RangeLo,
+		// RangeHi): the minimum claim bid at each module this frame, zero
+		// when none (claims are nonzero).
+		claims = make([]uint64, s.cfg.RangeHi-s.cfg.RangeLo)
 	)
 	for !s.draining.Load() {
 		if scratch, err = readMsg(conn, scratch, &frame); err != nil {
@@ -278,12 +338,13 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		reply.Seq = frame.Seq
 		reply.Grants = reply.Grants[:0]
-		if err := s.serveRound(st, &frame, &reply, winners); err != nil {
+		if err := s.serveRound(st, &frame, &reply, claims); err != nil {
 			s.logf("netmpc: %s: %v", conn.RemoteAddr(), err)
 			return
 		}
 		s.frames.Add(1)
 		s.grants.Add(uint64(len(reply.Grants)))
+		s.lost.Add(uint64(len(frame.Bids) - len(reply.Grants)))
 		if scratch, err = writeMsg(conn, scratch, &reply); err != nil {
 			return
 		}
@@ -291,14 +352,17 @@ func (s *Server) handle(conn net.Conn) {
 }
 
 // serveRound arbitrates one frame (minimum packed claim per module, exactly
-// the in-process engines' rule) and applies each winner's staged operation
-// to the store, collecting the grant set into reply.
-func (s *Server) serveRound(st *store, frame *RoundFrame, reply *RoundReply, winners map[uint64]int) error {
-	clear(winners)
+// the in-process engines' rule; the first bid wins among equal claims) and
+// applies each winner's staged operation to the store, collecting the grant
+// set into reply in bid order. claims must be all zero on entry, and is
+// again on a nil return: the grant pass clears each module's entry as it
+// grants it, and every module with a claim grants exactly once.
+func (s *Server) serveRound(st *store, frame *RoundFrame, reply *RoundReply, claims []uint64) error {
+	lo := s.cfg.RangeLo
 	for i := range frame.Bids {
 		b := &frame.Bids[i]
-		if b.Module < s.cfg.RangeLo || b.Module >= s.cfg.RangeHi {
-			return fmt.Errorf("%w: bid at module %d outside range [%d,%d)", ErrCorruptFrame, b.Module, s.cfg.RangeLo, s.cfg.RangeHi)
+		if b.Module < lo || b.Module >= s.cfg.RangeHi {
+			return fmt.Errorf("%w: bid at module %d outside range [%d,%d)", ErrCorruptFrame, b.Module, lo, s.cfg.RangeHi)
 		}
 		if b.Addr >= s.cfg.AddrSpace {
 			return fmt.Errorf("%w: bid address %d outside space %d", ErrCorruptFrame, b.Addr, s.cfg.AddrSpace)
@@ -306,25 +370,30 @@ func (s *Server) serveRound(st *store, frame *RoundFrame, reply *RoundReply, win
 		if b.Claim == 0 {
 			return fmt.Errorf("%w: zero claim", ErrCorruptFrame)
 		}
-		if w, ok := winners[b.Module]; !ok || b.Claim < frame.Bids[w].Claim {
-			winners[b.Module] = i
+		if c := &claims[b.Module-lo]; *c == 0 || b.Claim < *c {
+			*c = b.Claim
 		}
 	}
 	st.mu.Lock()
-	for _, i := range winners {
+	for i := range frame.Bids {
 		b := &frame.Bids[i]
+		win := &claims[b.Module-lo]
+		if *win != b.Claim {
+			continue // lost to a smaller claim, or to an equal one bid earlier
+		}
+		*win = 0
 		g := Grant{Proc: b.Proc}
 		switch b.Op {
 		case 0: // protocol.Read
-			c := st.cells[b.Addr]
+			c := st.get(b.Addr)
 			g.Value, g.TS = c.val, c.ts
 		case 2: // repair-write: install only if strictly newer, so a rebuild
 			// never clobbers a concurrent normal write that already landed.
-			if c := st.cells[b.Addr]; b.TS > c.ts {
-				st.cells[b.Addr] = cell{val: b.Value, ts: b.TS}
+			if b.TS > st.get(b.Addr).ts {
+				st.put(b.Addr, cell{val: b.Value, ts: b.TS})
 			}
 		default: // protocol.Write
-			st.cells[b.Addr] = cell{val: b.Value, ts: b.TS}
+			st.put(b.Addr, cell{val: b.Value, ts: b.TS})
 		}
 		reply.Grants = append(reply.Grants, g)
 	}

@@ -103,6 +103,7 @@ type srv struct {
 	wbuf     []byte
 	seq      uint64           // last sequence number sent (rounds are serialized)
 	replies  chan *RoundReply // filled by the reader goroutine
+	free     chan *RoundReply // consumed replies to reuse; 16 > 8 buffered + 1 per side
 	lastErr  atomic.Value     // errBox; last failure, for Stats
 	frames   obs.Counter      // round frames sent
 	bids     obs.Counter      // bids sent
@@ -157,7 +158,7 @@ func Dial(cfg Config) (*Transport, error) {
 	t := &Transport{cfg: cfg, fs: mpc.NewFaultSet()}
 	for i, addr := range cfg.Servers {
 		lo, hi := Range(i, len(cfg.Servers), cfg.Modules)
-		s := &srv{idx: i, addr: addr, lo: lo, hi: hi, t: t, replies: make(chan *RoundReply, 8)}
+		s := &srv{idx: i, addr: addr, lo: lo, hi: hi, t: t, replies: make(chan *RoundReply, 8), free: make(chan *RoundReply, 16)}
 		conn, gen, err := t.dialServer(s)
 		if err != nil {
 			t.Close()
@@ -278,14 +279,18 @@ func ackError(ack *HandshakeAck) error {
 }
 
 // readLoop drains one connection's replies into the server's channel until
-// the connection dies, then triggers degradation.
+// the connection dies, then triggers degradation. Every reply it decodes
+// into comes off the free list when one is there, so steady-state rounds
+// allocate none; a reply is owned by exactly one party at a time — the free
+// list, this loop, the replies channel, or the consumer that received it.
 func (s *srv) readLoop(conn net.Conn) {
 	defer s.t.wg.Done()
 	var scratch []byte
 	for {
-		reply := new(RoundReply)
+		reply := s.newReply()
 		var err error
 		if scratch, err = readMsg(conn, scratch, reply); err != nil {
+			s.release(reply)
 			s.markDown(conn, err)
 			return
 		}
@@ -295,11 +300,31 @@ func (s *srv) readLoop(conn net.Conn) {
 			// The consumer abandoned this stream (timeout path drained and
 			// gave up); drop the oldest to keep the newest visible.
 			select {
-			case <-s.replies:
+			case old := <-s.replies:
+				s.release(old)
 			default:
 			}
 			s.replies <- reply
 		}
+	}
+}
+
+// newReply takes a recycled reply off the free list, or allocates one.
+func (s *srv) newReply() *RoundReply {
+	select {
+	case r := <-s.free:
+		return r
+	default:
+		return new(RoundReply)
+	}
+}
+
+// release hands a reply its owner is done with back to the free list (or to
+// the GC when the list is full). The caller must not touch it afterwards.
+func (s *srv) release(r *RoundReply) {
+	select {
+	case s.free <- r:
+	default:
 	}
 }
 
@@ -370,7 +395,8 @@ func (s *srv) reconnectLoop() {
 		// doesn't mistake a stale sequence number for its own.
 		for {
 			select {
-			case <-s.replies:
+			case r := <-s.replies:
+				s.release(r)
 				continue
 			default:
 			}

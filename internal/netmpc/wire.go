@@ -357,11 +357,16 @@ func writeMsg(w io.Writer, scratch []byte, m message) ([]byte, error) {
 // caller's scratch buffer, returning the type tag and the payload slice
 // (valid until the next readFrame on the same buffer).
 func readFrame(r io.Reader, scratch []byte) (byte, []byte, []byte, error) {
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
+	// The length prefix is read into the scratch buffer, not a local array:
+	// a slice handed to an io.Reader escapes, and steady-state rounds must
+	// not allocate.
+	if cap(scratch) < 4 {
+		scratch = make([]byte, 64)
+	}
+	if _, err := io.ReadFull(r, scratch[:4]); err != nil {
 		return 0, nil, scratch, err
 	}
-	size := int(binary.BigEndian.Uint32(hdr[:4]))
+	size := int(binary.BigEndian.Uint32(scratch[:4]))
 	if size < 1 {
 		return 0, nil, scratch, fmt.Errorf("%w: zero-length frame", ErrCorruptFrame)
 	}

@@ -100,9 +100,9 @@ type Metrics struct {
 	// TotalRounds or IssuedBids — repair work is accounted through
 	// obs.RepairEvent so the round-trace crosscheck balances on both the
 	// per-batch and the idle-loop pump paths.
-	RepairedCopies int // target copies rebuilt by this batch's repair step
-	RepairSalvaged int // variables rebuilt without a sound source majority
-	RepairRounds   int // MPC rounds the repair step drove
+	RepairedCopies  int // target copies rebuilt by this batch's repair step
+	RepairSalvaged  int // variables rebuilt without a sound source majority
+	RepairRounds    int // MPC rounds the repair step drove
 	RepairCertified int // modules certified fully live by this batch's step
 }
 
@@ -272,7 +272,10 @@ type System struct {
 	Scheme *core.Scheme
 	Index  core.Indexer
 
-	cfg   Config
+	cfg Config
+	// store holds the cells when they live in this process. obtainMachine
+	// creates it with the first machine that is not a RemoteStore, so a
+	// system over netmpc never allocates one.
 	store store
 	ts    uint64 // batch timestamp, incremented per Access
 
@@ -422,7 +425,6 @@ func NewGenericSystem(m Mapper, cfg Config) (*System, error) {
 	sys := &System{
 		Mapper:   m,
 		cfg:      cfg,
-		store:    newStore(m.AddrSpace()),
 		resolver: resolver,
 		bulkSrc:  bulkSrc,
 		hot:      hot,
@@ -842,6 +844,9 @@ func (sys *System) obtainMachine(procs int) (Machine, int, error) {
 	sys.fv, _ = machine.(FaultView)
 	sys.rs, _ = machine.(RemoteStore)
 	sys.rv, _ = machine.(RepairView)
+	if sys.rs == nil && sys.store == nil {
+		sys.store = newStore(sys.Mapper.AddrSpace())
+	}
 	sys.resetRepair()
 	return machine, geo, nil
 }
@@ -983,9 +988,13 @@ func (sys *System) WriteBatch(vars []uint64, vals []uint64) (*Metrics, error) {
 }
 
 // CopyState reports, for invariant tests, the timestamps of all copies of a
-// variable.
+// variable in the local store: all zero while the system has no local store
+// (before its first batch, or when the cells live behind a RemoteStore).
 func (sys *System) CopyState(v uint64) []uint64 {
 	out := make([]uint64, sys.Mapper.Copies())
+	if sys.store == nil {
+		return out
+	}
 	for c := range out {
 		_, addr := sys.Mapper.CopyAddr(v, c)
 		out[c] = sys.store.get(addr).ts

@@ -3,6 +3,8 @@ package protocol
 import (
 	"testing"
 	"testing/quick"
+
+	"detshmem/internal/mpc"
 )
 
 // TestStoreSelection: newStore picks dense below the threshold, sparse above.
@@ -70,9 +72,6 @@ func TestProtocolSparseStoreEquivalence(t *testing.T) {
 		return sys
 	}
 	a, b := mk(false), mk(true)
-	if _, ok := b.store.(sparseStore); !ok {
-		t.Fatal("sparse system did not get a sparse store")
-	}
 	vars := []uint64{0, 5, 10, 100, 1000}
 	vals := []uint64{9, 8, 7, 6, 5}
 	m1, err := a.WriteBatch(vars, vals)
@@ -82,6 +81,10 @@ func TestProtocolSparseStoreEquivalence(t *testing.T) {
 	m2, err := b.WriteBatch(vars, vals)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The store is created with the first machine, so it exists only now.
+	if _, ok := b.store.(sparseStore); !ok {
+		t.Fatal("sparse system did not get a sparse store")
 	}
 	if m1.TotalRounds != m2.TotalRounds {
 		t.Fatalf("rounds differ: %d vs %d", m1.TotalRounds, m2.TotalRounds)
@@ -128,5 +131,93 @@ func TestReadIdempotence(t *testing.T) {
 	}
 	if m1.TotalRounds != m2.TotalRounds {
 		t.Fatalf("metrics differ across identical reads: %d vs %d", m1.TotalRounds, m2.TotalRounds)
+	}
+}
+
+// remoteMachine is an in-process machine whose cells live on its own side
+// of the interconnect: it implements RemoteStore over a private sparse
+// store, applying each granted bid's staged operation the way a memserver
+// does.
+type remoteMachine struct {
+	*mpc.Machine
+	cells   sparseStore
+	staged  map[int32]stagedAccess
+	granted map[int32]cell
+}
+
+type stagedAccess struct {
+	addr uint64
+	op   Op
+	c    cell
+}
+
+func (m *remoteMachine) StageBid(proc int32, addr uint64, op Op, value, ts uint64) {
+	m.staged[proc] = stagedAccess{addr: addr, op: op, c: cell{val: value, ts: ts}}
+}
+
+func (m *remoteMachine) GrantData(proc int32) (value, ts uint64) {
+	c := m.granted[proc]
+	return c.val, c.ts
+}
+
+func (m *remoteMachine) Round(reqs []int64, grant []bool) int {
+	n := m.Machine.Round(reqs, grant)
+	for p, ok := range grant {
+		if !ok {
+			continue
+		}
+		a := m.staged[int32(p)]
+		switch a.op {
+		case Read:
+			m.granted[int32(p)] = m.cells.get(a.addr)
+		case opRepair:
+			putIfNewer(m.cells, a.addr, a.c)
+		default:
+			m.cells.put(a.addr, a.c)
+		}
+	}
+	return n
+}
+
+// TestRemoteSystemHasNoLocalStore: a System whose machines keep the cells
+// remotely never allocates its local store, across batches and across a
+// Close that rebuilds the machine; CopyState reports zeros.
+func TestRemoteSystemHasNoLocalStore(t *testing.T) {
+	cells := sparseStore{}
+	tr := TransportFunc(func(cfg mpc.Config) (Machine, error) {
+		m, err := mpc.New(cfg)
+		if err != nil {
+			return nil, err
+		}
+		return &remoteMachine{Machine: m, cells: cells, staged: map[int32]stagedAccess{}, granted: map[int32]cell{}}, nil
+	})
+	sys := newSystem(t, 1, 5, Config{Transport: tr})
+	vars := []uint64{0, 5, 10, 100, 1000}
+	vals := []uint64{9, 8, 7, 6, 5}
+	for pass := 0; pass < 2; pass++ {
+		if _, err := sys.WriteBatch(vars, vals); err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := sys.ReadBatch(vars)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range vars {
+			if got[i] != vals[i] {
+				t.Fatalf("pass %d: var %d read %d, want %d", pass, vars[i], got[i], vals[i])
+			}
+		}
+		if sys.store != nil {
+			t.Fatalf("pass %d: remote system allocated a local store", pass)
+		}
+		sys.Close()
+	}
+	for _, ts := range sys.CopyState(vars[0]) {
+		if ts != 0 {
+			t.Fatalf("CopyState without a local store = %v, want zeros", sys.CopyState(vars[0]))
+		}
+	}
+	if len(cells) == 0 {
+		t.Fatal("no write reached the remote cells")
 	}
 }

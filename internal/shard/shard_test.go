@@ -313,11 +313,15 @@ func TestSharedResolver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer svc.Close()
 	// Each shard owns a full System over the same mapper; stores are
 	// disjoint because the router never sends one variable to two shards.
 	v := uint64(5)
 	if err := svc.Write(v, 99); err != nil {
+		t.Fatal(err)
+	}
+	// A shard's pipelined flusher owns its System until the service
+	// closes; a closed System stays usable, so read the other shard then.
+	if err := svc.Close(); err != nil {
 		t.Fatal(err)
 	}
 	other := 1 - svc.Route(v)
