@@ -5,6 +5,7 @@ import (
 
 	"detshmem/internal/obs"
 	"detshmem/internal/protocol"
+	"detshmem/internal/varindex"
 )
 
 // This file is the combining core, factored out of the dispatcher loop so
@@ -13,176 +14,207 @@ import (
 // of the coalescing rules, the result fan-out, and the stats accounting.
 // The rules themselves are documented on the package.
 
-// entry is a pending batch's state for one distinct variable.
+// entry is one distinct variable of the batch under construction. Its
+// position in Pending.entries is its protocol request index.
 type entry struct {
-	write     bool   // a protocol Write will be issued for this variable
-	val       uint64 // latest coalesced write value
-	readFuts  []*Future
-	writeFuts []*Future
-	fwd       []*Future // read-after-write forwarded reads
-	fwdVals   []uint64  // value each forwarded read observes
+	v     uint64
+	write bool   // a protocol Write will be issued for this variable
+	val   uint64 // latest coalesced write value
+}
+
+// waitKind says how an admitted operation learns its result.
+type waitKind uint8
+
+const (
+	waitRead  waitKind = iota // shares its entry's issued read
+	waitWrite                 // one of its entry's coalesced writes
+	waitFwd                   // read forwarded from its entry's pending write
+)
+
+// waiter is one admitted operation: the future it completes and the entry
+// whose request decides its outcome.
+type waiter struct {
+	fut    *Future
+	entry  int32
+	kind   waitKind
+	fwdVal uint64 // waitFwd: the pending write's value at admission
 }
 
 // Pending is one batch under construction: the coalesced view of every
 // operation admitted since the last flush. It is not safe for concurrent
 // use; callers serialize admission (the Frontend through its dispatcher
-// goroutine, the shard dispatcher under its admission mutex) — that
-// serialization is what makes admission order the commit order.
+// goroutine, the shard dispatcher through its single flusher goroutine) —
+// that serialization is what makes admission order the commit order.
 //
-// A Pending recycles its per-variable entries across Reset cycles, so a
-// dispatcher that reuses one (or a small pool) admits and flushes without
-// allocating in steady state.
+// The batch is flat: entries holds the distinct variables in admission
+// order (an entry's position is its request index), ops holds one waiter
+// per admitted operation in admission order, and a generation-stamped
+// varindex.Index maps a variable to its entry. Nothing on the admit, flush
+// or reset path touches a Go map, Reset is O(1) in the index, and a
+// dispatcher that reuses one Pending admits and flushes without allocating
+// once the slices reach their high-water sizes.
 type Pending struct {
-	entries map[uint64]*entry
-	order   []uint64
-	ops     int      // operations admitted (≥ len(order) once combining bites)
-	free    []*entry // recycled entries
+	entries []entry
+	ops     []waiter
+	index   varindex.Index
+
+	// Combining counters, kept at admission so Stats.Account does not walk
+	// the batch.
+	combinedReads   int
+	coalescedWrites int
+	forwardedReads  int
+
+	// verdict[i] is request i's error on a degraded (ErrIncomplete with a
+	// result) flush, worked out once by the first of Audit and Complete.
+	verdict []error
+	judged  bool
 }
 
-// NewPending returns an empty batch sized for about capacity distinct
-// variables.
+// NewPending returns an empty batch whose index is sized for capacity
+// distinct variables; admitting more grows it. The entry and op slices
+// grow to the largest batch actually admitted, which is usually far below
+// a dispatcher's flush threshold.
 func NewPending(capacity int) *Pending {
-	return &Pending{entries: make(map[uint64]*entry, capacity)}
+	p := &Pending{}
+	p.index.Reserve(capacity)
+	return p
 }
 
 // Distinct is the number of distinct variables in the batch — the size of
 // the protocol batch a flush would issue.
-func (p *Pending) Distinct() int { return len(p.order) }
+func (p *Pending) Distinct() int { return len(p.entries) }
 
 // Ops is the number of client operations admitted into the batch.
-func (p *Pending) Ops() int { return p.ops }
+func (p *Pending) Ops() int { return len(p.ops) }
 
 // WriteConflicts reports whether admitting a write to v would break the
 // batch's EREW shape: v already carries an issued read, so the write would
 // either reorder that read after itself or duplicate the variable. The
 // caller must flush the batch before admitting such a write.
 func (p *Pending) WriteConflicts(v uint64) bool {
-	e := p.entries[v]
-	return e != nil && !e.write
+	i, ok := p.index.Get(v)
+	return ok && !p.entries[i].write
 }
 
-// newEntry installs a fresh (or recycled) entry for v.
-func (p *Pending) newEntry(v uint64) *entry {
-	var e *entry
-	if n := len(p.free); n > 0 {
-		e = p.free[n-1]
-		p.free = p.free[:n-1]
-	} else {
-		e = &entry{}
+// lookup returns v's entry index, opening a fresh entry (with write set as
+// given) when v is new to the batch.
+func (p *Pending) lookup(v uint64, write bool) (i int32, fresh bool) {
+	i, fresh = p.index.Insert(v, int32(len(p.entries)))
+	if fresh {
+		p.entries = append(p.entries, entry{v: v, write: write})
 	}
-	p.entries[v] = e
-	p.order = append(p.order, v)
-	return e
+	return i, fresh
 }
 
 // Read admits one read with commit sequence seq, combining it with an
 // already-issued read or forwarding a pending write's value.
 func (p *Pending) Read(seq, v uint64, fut *Future) {
 	fut.seq = seq
-	e := p.entries[v]
-	switch {
-	case e == nil:
-		e = p.newEntry(v)
-		e.readFuts = append(e.readFuts, fut)
+	i, fresh := p.lookup(v, false)
+	w := waiter{fut: fut, entry: i, kind: waitRead}
+	switch e := &p.entries[i]; {
+	case fresh:
 	case e.write: // read after pending write: forward its value
-		e.fwd = append(e.fwd, fut)
-		e.fwdVals = append(e.fwdVals, e.val)
+		w.kind, w.fwdVal = waitFwd, e.val
+		p.forwardedReads++
 	default: // read joining an issued read
-		e.readFuts = append(e.readFuts, fut)
+		p.combinedReads++
 	}
-	p.ops++
+	p.ops = append(p.ops, w)
 }
 
 // Write admits one write with commit sequence seq, coalescing with an
 // earlier write (last writer wins). Admitting a write that WriteConflicts
 // panics: the dispatcher must flush first, and the two dispatchers enforce
-// that at distinct spots (channel loop vs admission mutex), so a miss here
-// is a dispatcher bug, not a client error.
+// that at distinct spots (channel loop vs ring flusher), so a miss here is
+// a dispatcher bug, not a client error.
 func (p *Pending) Write(seq, v, val uint64, fut *Future) {
 	fut.seq = seq
-	e := p.entries[v]
-	if e == nil {
-		e = p.newEntry(v)
-		e.write = true
-	} else if !e.write {
+	i, fresh := p.lookup(v, true)
+	e := &p.entries[i]
+	if !e.write {
 		panic("frontend: write admitted over an issued read; flush the batch first")
 	}
+	if !fresh {
+		p.coalescedWrites++
+	}
 	e.val = val
-	e.writeFuts = append(e.writeFuts, fut)
-	p.ops++
+	p.ops = append(p.ops, waiter{fut: fut, entry: i, kind: waitWrite})
 }
 
 // Requests serializes the batch into protocol requests in admission order,
 // reusing buf's backing array when it is large enough (the zero-alloc flush
 // path hands the same buffer back every flush).
 func (p *Pending) Requests(buf []protocol.Request) []protocol.Request {
-	if cap(buf) < len(p.order) {
-		buf = make([]protocol.Request, 0, len(p.order))
+	if cap(buf) < len(p.entries) {
+		buf = make([]protocol.Request, 0, len(p.entries))
 	}
 	buf = buf[:0]
-	for _, v := range p.order {
-		e := p.entries[v]
+	for _, e := range p.entries {
 		if e.write {
-			buf = append(buf, protocol.Request{Var: v, Op: protocol.Write, Value: e.val})
+			buf = append(buf, protocol.Request{Var: e.v, Op: protocol.Write, Value: e.val})
 		} else {
-			buf = append(buf, protocol.Request{Var: v, Op: protocol.Read})
+			buf = append(buf, protocol.Request{Var: e.v, Op: protocol.Read})
 		}
 	}
 	return buf
 }
 
-// Complete fans the backend's result (or error) out to every combined
-// waiter, attributing errors per request. res holds the values for the
-// request order Requests produced; on a whole-batch error res may be nil.
-// An ErrIncomplete err with a non-nil res fails only the requests that
-// missed their quorum and completes the rest normally — degraded-mode
-// serving: a batch with some unreachable variables still commits its
-// healthy futures. Stranded requests (live copies below quorum) get
+// verdicts returns the per-request errors of a degraded flush — an
+// ErrIncomplete-class err with a non-nil res — or nil when every request
+// shares err. Stranded requests (live copies below quorum) get
 // protocol.ErrQuorumUnreachable; requests that merely exhausted the
-// iteration budget get the batch's ErrIncomplete-class error.
-func (p *Pending) Complete(res *protocol.Result, err error) {
-	incomplete := err != nil && errors.Is(err, protocol.ErrIncomplete) && res != nil
-	var unfinished map[int]error // nil on the happy path; lookups on nil are fine
-	if incomplete {
-		unfinished = make(map[int]error, len(res.Metrics.Unfinished))
+// iteration budget get protocol.ErrIncomplete. The slice is worked out on
+// the first call after Reset and reused, so Audit and Complete must be
+// given the same flush outcome.
+func (p *Pending) verdicts(res *protocol.Result, err error) []error {
+	if err == nil || res == nil || !errors.Is(err, protocol.ErrIncomplete) {
+		return nil
+	}
+	if !p.judged {
+		p.judged = true
+		if cap(p.verdict) < len(p.entries) {
+			p.verdict = make([]error, len(p.entries))
+		}
+		p.verdict = p.verdict[:len(p.entries)]
+		clear(p.verdict)
 		for _, r := range res.Metrics.Unfinished {
-			unfinished[r] = protocol.ErrIncomplete
+			p.verdict[r] = protocol.ErrIncomplete
 		}
 		for _, r := range res.Metrics.Stranded {
-			unfinished[r] = protocol.ErrQuorumUnreachable
+			p.verdict[r] = protocol.ErrQuorumUnreachable
 		}
 	}
-	for i, v := range p.order {
-		e := p.entries[v]
+	return p.verdict
+}
+
+// Complete fans the backend's result (or error) out to every combined
+// waiter, in admission order, attributing errors per request. res holds the
+// values for the request order Requests produced; on a whole-batch error
+// res may be nil. An ErrIncomplete err with a non-nil res fails only the
+// requests that missed their quorum and completes the rest normally —
+// degraded-mode serving: a batch with some unreachable variables still
+// commits its healthy futures. Stranded requests (live copies below
+// quorum) get protocol.ErrQuorumUnreachable; requests that merely exhausted
+// the iteration budget get protocol.ErrIncomplete. Every waiter on a failed
+// request learns its error, including forwarded reads riding a failed
+// write.
+func (p *Pending) Complete(res *protocol.Result, err error) {
+	verdict := p.verdicts(res, err)
+	for _, w := range p.ops {
 		reqErr := err
-		if incomplete {
-			reqErr = unfinished[i]
+		if verdict != nil {
+			reqErr = verdict[w.entry]
 		}
 		switch {
 		case reqErr != nil:
-			// Whole-batch failure, or this request missed its quorum: every
-			// waiter on the variable (including forwarded reads riding a
-			// failed write) learns the error.
-			for _, fut := range e.readFuts {
-				fut.complete(0, reqErr)
-			}
-			for _, fut := range e.writeFuts {
-				fut.complete(0, reqErr)
-			}
-			for _, fut := range e.fwd {
-				fut.complete(0, reqErr)
-			}
-		case e.write:
-			for _, fut := range e.writeFuts {
-				fut.complete(0, nil)
-			}
-			for j, fut := range e.fwd {
-				fut.complete(e.fwdVals[j], nil)
-			}
+			w.fut.complete(0, reqErr)
+		case w.kind == waitRead:
+			w.fut.complete(res.Values[w.entry], nil)
+		case w.kind == waitFwd:
+			w.fut.complete(w.fwdVal, nil)
 		default:
-			for _, fut := range e.readFuts {
-				fut.complete(res.Values[i], nil)
-			}
+			w.fut.complete(0, nil)
 		}
 	}
 }
@@ -213,52 +245,33 @@ type Auditor interface {
 // exactly the commit-order entry stream. Allocation-free on the healthy
 // path (err == nil).
 func (p *Pending) Audit(a Auditor, res *protocol.Result, err error) {
-	incomplete := err != nil && errors.Is(err, protocol.ErrIncomplete) && res != nil
-	var unfinished map[int]error
-	if incomplete {
-		unfinished = make(map[int]error, len(res.Metrics.Unfinished))
-		for _, r := range res.Metrics.Unfinished {
-			unfinished[r] = protocol.ErrIncomplete
-		}
-		for _, r := range res.Metrics.Stranded {
-			unfinished[r] = protocol.ErrQuorumUnreachable
-		}
-	}
-	for i, v := range p.order {
-		e := p.entries[v]
+	verdict := p.verdicts(res, err)
+	for i, e := range p.entries {
 		reqErr := err
-		if incomplete {
-			reqErr = unfinished[i]
+		if verdict != nil {
+			reqErr = verdict[i]
 		}
 		switch {
 		case reqErr != nil:
-			a.AuditFailed(v, e.val, e.write)
+			a.AuditFailed(e.v, e.val, e.write)
 		case e.write:
-			a.AuditWrite(v, e.val)
+			a.AuditWrite(e.v, e.val)
 		default:
-			a.AuditRead(v, res.Values[i])
+			a.AuditRead(e.v, res.Values[i])
 		}
 	}
 }
 
-// Reset clears the batch for reuse, recycling its entries. Future
-// references are dropped so completed futures stay collectable.
+// Reset clears the batch for reuse. Future references are dropped so
+// completed futures stay collectable; the index is reset by a generation
+// bump, not a walk.
 func (p *Pending) Reset() {
-	for _, v := range p.order {
-		e := p.entries[v]
-		clear(e.readFuts)
-		clear(e.writeFuts)
-		clear(e.fwd)
-		e.readFuts = e.readFuts[:0]
-		e.writeFuts = e.writeFuts[:0]
-		e.fwd = e.fwd[:0]
-		e.fwdVals = e.fwdVals[:0]
-		e.write = false
-		p.free = append(p.free, e)
-		delete(p.entries, v)
-	}
-	p.order = p.order[:0]
-	p.ops = 0
+	clear(p.ops)
+	p.ops = p.ops[:0]
+	p.entries = p.entries[:0]
+	p.index.Reset()
+	p.combinedReads, p.coalescedWrites, p.forwardedReads = 0, 0, 0
+	p.judged = false
 }
 
 // NewFuture returns an unresolved future for an external dispatcher to
@@ -297,18 +310,11 @@ type Stats struct {
 // snapshot (read-your-ops consistency).
 func (s *Stats) Account(p *Pending, requestsOut int, res *protocol.Result, err error, cause obs.FlushCause) {
 	s.Batches++
-	s.OpsIn += int64(p.ops)
+	s.OpsIn += int64(len(p.ops))
 	s.RequestsOut += int64(requestsOut)
-	for _, v := range p.order {
-		e := p.entries[v]
-		s.ForwardedReads += int64(len(e.fwd))
-		if !e.write && len(e.readFuts) > 1 {
-			s.CombinedReads += int64(len(e.readFuts) - 1)
-		}
-		if e.write && len(e.writeFuts) > 1 {
-			s.CoalescedWrites += int64(len(e.writeFuts) - 1)
-		}
-	}
+	s.CombinedReads += int64(p.combinedReads)
+	s.CoalescedWrites += int64(p.coalescedWrites)
+	s.ForwardedReads += int64(p.forwardedReads)
 	switch cause {
 	case obs.FlushIdle:
 		s.IdleFlushes++

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -118,6 +119,56 @@ func TestTypedAdmissionErrors(t *testing.T) {
 	}
 }
 
+// TestDuplicateVarPositions: the duplicate check rejects a repeated
+// variable wherever it sits — first, last, adjacent — in batches up to
+// exactly N, names the repeated variable, and leaves nothing behind: the
+// same variables form a valid batch right after a rejected one.
+func TestDuplicateVarPositions(t *testing.T) {
+	sys, s := edgeSystem(t, Config{})
+	n := int(s.NumModules)
+	distinct := func(size int) []Request {
+		reqs := make([]Request, size)
+		for i := range reqs {
+			reqs[i] = Request{Var: uint64(i*5) % s.NumVariables, Op: Read}
+		}
+		return reqs
+	}
+	for _, size := range []int{2, 3, 17, n} {
+		for _, tc := range []struct {
+			name     string
+			from, to int // reqs[to].Var = reqs[from].Var
+		}{
+			{"first", 0, size - 1},
+			{"last", size - 1, 0},
+			{"adjacent", size/2 - 1, size / 2},
+			{"adjacent-at-end", size - 2, size - 1},
+		} {
+			reqs := distinct(size)
+			reqs[tc.to].Var = reqs[tc.from].Var
+			reqs[tc.to].Op = Write
+			_, err := sys.Access(reqs)
+			if !errors.Is(err, ErrDuplicateVar) {
+				t.Fatalf("size %d, duplicate %s: err = %v, want ErrDuplicateVar", size, tc.name, err)
+			}
+			if want := fmt.Sprintf("protocol: variable %d requested twice in one batch", reqs[tc.from].Var); err.Error() != want {
+				t.Fatalf("size %d, duplicate %s: message %q, want %q", size, tc.name, err.Error(), want)
+			}
+			if _, err := sys.Access(distinct(size)); err != nil {
+				t.Fatalf("size %d: valid batch after a rejected duplicate: %v", size, err)
+			}
+		}
+	}
+	// Range is checked before duplication, request by request.
+	_, err := sys.Access([]Request{{Var: 1, Op: Read}, {Var: s.NumVariables, Op: Read}, {Var: 1, Op: Read}})
+	if !errors.Is(err, ErrVarOutOfRange) {
+		t.Fatalf("out-of-range before a duplicate: err = %v, want ErrVarOutOfRange", err)
+	}
+	_, err = sys.Access([]Request{{Var: 1, Op: Read}, {Var: 1, Op: Read}, {Var: s.NumVariables, Op: Read}})
+	if !errors.Is(err, ErrDuplicateVar) {
+		t.Fatalf("duplicate before an out-of-range variable: err = %v, want ErrDuplicateVar", err)
+	}
+}
+
 // TestMaxIterationsExhaustion: a deliberately starved iteration bound on a
 // fully colliding batch returns the quorum-unreachable error with the
 // stragglers listed, while the served request still completes.
@@ -149,6 +200,33 @@ func TestMaxIterationsExhaustion(t *testing.T) {
 	if got := len(res.Metrics.Unfinished); got != len(reqs)-1 {
 		t.Fatalf("%d unfinished, want %d", got, len(reqs)-1)
 	}
+	for i := 1; i < len(res.Metrics.Unfinished); i++ {
+		if res.Metrics.Unfinished[i] <= res.Metrics.Unfinished[i-1] {
+			t.Fatalf("unfinished list %v not strictly ascending", res.Metrics.Unfinished)
+		}
+	}
+
+	// Replicated copies: with clusters of q+1 processors, request r runs in
+	// phase r mod (q+1), and each phase lists its stragglers once each, in
+	// request order.
+	rsys, s := edgeSystem(t, Config{MaxIterationsPerPhase: 1})
+	full := make([]Request, s.NumModules)
+	for i := range full {
+		full[i] = Request{Var: uint64(i), Op: Read}
+	}
+	rres, err := rsys.Access(full)
+	if !errors.Is(err, ErrIncomplete) || len(rres.Metrics.Unfinished) == 0 {
+		t.Fatalf("starved replicated batch: err = %v, %d unfinished", err, len(rres.Metrics.Unfinished))
+	}
+	cluster := s.Copies
+	u := rres.Metrics.Unfinished
+	for i := 1; i < len(u); i++ {
+		prev, cur := u[i-1], u[i]
+		if cur%cluster < prev%cluster || (cur%cluster == prev%cluster && cur <= prev) {
+			t.Fatalf("unfinished list %v is not phase-major and ascending within a phase", u)
+		}
+	}
+
 	// A generous bound on the same batch completes it.
 	sys2, err := NewGenericSystem(m, Config{})
 	if err != nil {

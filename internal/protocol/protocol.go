@@ -31,6 +31,7 @@ import (
 	"detshmem/internal/core"
 	"detshmem/internal/mpc"
 	"detshmem/internal/obs"
+	"detshmem/internal/varindex"
 )
 
 // Op is the kind of memory access.
@@ -315,7 +316,7 @@ type System struct {
 
 	// Per-batch scratch, reused across Access calls so the iteration loop
 	// is allocation-free once the buffers reach their high-water sizes.
-	seen      map[uint64]struct{}
+	seen      varindex.Index // duplicate-variable check, one generation per batch
 	copies    []assignment
 	remaining []int32
 	bestTS    []uint64
@@ -428,7 +429,6 @@ func NewGenericSystem(m Mapper, cfg Config) (*System, error) {
 		resolver: resolver,
 		bulkSrc:  bulkSrc,
 		hot:      hot,
-		seen:     make(map[uint64]struct{}),
 	}
 	sys.ro, _ = cfg.Observer.(obs.RepairObserver)
 	sys.observeResolver()
@@ -522,15 +522,15 @@ func (sys *System) AccessInto(reqs []Request, res *Result) error {
 	if uint64(len(reqs)) > m.NumModules() {
 		return errorf(ErrBatchTooLarge, "protocol: batch of %d exceeds N = %d", len(reqs), m.NumModules())
 	}
-	clear(sys.seen)
-	for _, r := range reqs {
+	sys.seen.Reset()
+	sys.seen.Reserve(len(reqs))
+	for i, r := range reqs {
 		if r.Var >= m.NumVars() {
 			return errorf(ErrVarOutOfRange, "protocol: variable %d out of range [0,%d)", r.Var, m.NumVars())
 		}
-		if _, dup := sys.seen[r.Var]; dup {
+		if _, fresh := sys.seen.Insert(r.Var, int32(i)); !fresh {
 			return errorf(ErrDuplicateVar, "protocol: variable %d requested twice in one batch", r.Var)
 		}
-		sys.seen[r.Var] = struct{}{}
 	}
 	sys.ts++
 
@@ -706,11 +706,14 @@ func (sys *System) AccessInto(reqs []Request, res *Result) error {
 					sys.queueRetry(t.a.req)
 				}
 			} else {
-				seenReq := make(map[int32]bool)
-				for _, t := range tasks {
-					if remaining[t.a.req] > 0 && !seenReq[t.a.req] {
-						seenReq[t.a.req] = true
-						res.Metrics.Unfinished = append(res.Metrics.Unfinished, int(t.a.req))
+				// Every request of the phase still short of its quorum has
+				// bids left (each started with at least a quorum in flight
+				// and only a grant retires one), so walking the phase's
+				// requests lists exactly the leftover tasks' requests, in
+				// their task order.
+				for i := 0; i < numClusters; i++ {
+					if r := i*clusterSize + phase; r < len(reqs) && remaining[r] > 0 {
+						res.Metrics.Unfinished = append(res.Metrics.Unfinished, r)
 					}
 				}
 			}

@@ -11,7 +11,7 @@ import (
 // TestShardFlushSteadyStateAllocs pins the pipelined dispatcher's flush
 // path — Requests into the reused buffer, AccessInto on the shard's reused
 // Result, stats accounting, the obs flush/batch/round hooks, fan-out, and
-// batch Reset/recycling — at zero allocations per batch in steady state,
+// the batch's O(1) Reset — at zero allocations per batch in steady state,
 // on both MPC engines. The only allocations on the sharded hot path are
 // the clients' futures, which are minted outside the measured region here
 // exactly as they are minted in client goroutines in production.
@@ -45,8 +45,8 @@ func TestShardFlushSteadyStateAllocs(t *testing.T) {
 			p := frontend.NewPending(opsPer)
 			admit := func(futs []*frontend.Future) {
 				for k := 0; k < opsPer; k++ {
-					// Same keys every round: entry and bucket churn must
-					// recycle, not grow.
+					// Same keys every round: the flat batch reuses its
+					// slices and index, never grows them.
 					if k%2 == 0 {
 						p.Write(uint64(k+1), uint64(k), uint64(k), futs[k])
 					} else {
@@ -62,7 +62,7 @@ func TestShardFlushSteadyStateAllocs(t *testing.T) {
 				return futs
 			}
 			// Warm-up sizes every reused buffer (requests, Result, protocol
-			// scratch, entry freelist).
+			// scratch, the batch's entry and op slices).
 			for i := 0; i < 3; i++ {
 				admit(mint())
 				d.flushOne(p, obs.FlushSize)
